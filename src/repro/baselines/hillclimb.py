@@ -79,14 +79,14 @@ def greedy_hill_climbing(
         climber = GeneralizedWeightClimber(system, unread)
     kernel = kernel_for(system, backend)
     current_w = 0
-    in_set = np.zeros(n, dtype=bool)
+    # Eligible readers: not yet active and (with a context) still live.
+    # Ascending ids keep the first-argmax tie-break below.
+    eligible = np.ones(n, dtype=bool)
+    if context is not None:
+        eligible &= context.remaining_counts > 0
 
     while True:
-        cands = [
-            r
-            for r in range(n)
-            if not in_set[r] and (context is None or context.is_live(r))
-        ]
+        cands = np.flatnonzero(eligible).tolist()
         if require_feasible and climber.active:
             cands = kernel.filter_compatible(cands, climber.active)
         if not cands:
@@ -111,7 +111,7 @@ def greedy_hill_climbing(
                 break
             best_weight = w_after
         climber.add(best_reader)
-        in_set[best_reader] = True
+        eligible[best_reader] = False
         current_w = best_weight
 
     return make_result(

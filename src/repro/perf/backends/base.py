@@ -52,13 +52,13 @@ class WeightKernel(ABC):
     cached on it via :func:`repro.perf.cache.system_memo`); they hold only
     read-only views of the system's packed coverage and interference rows,
     so one instance may be shared by every solver touching that system.
+    A kernel must not keep a reference to the system itself: the memo is
+    keyed weakly by the system, and a value that points back at its key
+    would keep the system alive forever.
     """
 
     #: Registry name of the backend this kernel implements.
     name: str = "abstract"
-
-    def __init__(self, system) -> None:
-        self.system = system
 
     # -- weight batches ----------------------------------------------------
     @abstractmethod
@@ -92,7 +92,9 @@ class WeightKernel(ABC):
     ) -> np.ndarray:
         """Generalised (operational-reader) rule: the weight of
         ``active + [c]`` for each candidate ``c``, infeasible sets allowed,
-        matching :meth:`GeneralizedWeightClimber.weight_with` element-wise."""
+        matching :meth:`GeneralizedWeightClimber.weight_with` element-wise.
+        ``once``/``multi`` are the climber's state: the tags covered by
+        exactly one, and by two or more, readers of *active*."""
 
     @abstractmethod
     def new_coverage_counts(

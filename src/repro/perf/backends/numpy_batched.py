@@ -10,12 +10,16 @@ packed coverage, combined word-wise with the solver's ``once``/``multi``/
 Bit-identity with the ``pure`` backend is structural: both compute the same
 word-wise boolean algebra over the same packed words, so the per-candidate
 integers agree exactly (property-tested in ``tests/test_backends.py``).
-Two rewrites keep the batched path competitive at small scales:
+Three rewrites keep the batched path competitive:
 
 * the feasible-rule weight uses the identity
   ``(once | c) & ~(multi | (once & c)) == (once ^ c) & ~multi`` — pure
   boolean algebra, so the integers are unchanged while the op count per
   frontier drops from five word-matrix passes to two;
+* the generalised-rule (climb) weight uses the owned-tag identity of
+  :meth:`PureKernel.climb_weights_with`: two popcount passes over the
+  candidate rows plus a sparse per-(silenced reader, candidate)
+  correction, so a frontier costs O(n·W) rather than O(|active|·n·W);
 * solo weights are answered from a per-unread-mask table of **all**
   readers' counts, memoised on the kernel — the branch-and-bound ordering
   pass hits the same unread mask dozens of times per MCS slot, so the
@@ -130,49 +134,44 @@ class NumpyKernel(PureKernel):
     def climb_weights_with(
         self, once, multi, active, active_bits, unread_bits, candidates
     ):
-        """Generalised-rule ``w(active ∪ {r})`` for the whole frontier:
-        batched once/multi update plus a per-active-reader union
-        accumulation under the silencer matrix."""
+        """Generalised-rule ``w(active ∪ {r})`` for the whole frontier via
+        the owned-tag identity of :meth:`PureKernel.climb_weights_with`:
+        two popcount passes over the candidate rows plus one correction
+        per (silenced operational reader, candidate) pair — O(n·W) per
+        frontier, independent of ``|active|``."""
         cands = [int(c) for c in candidates]
         if len(cands) < BATCH_MIN:
             return super().climb_weights_with(
                 once, multi, active, active_bits, unread_bits, cands
             )
-        active = [int(i) for i in active]
-        c = self._words[cands]
-        once_w = self._to_words(once)
-        # Same XOR identity as oracle_weights_with for the updated
-        # exactly-once zone (the unread intersection is folded in at the
-        # final popcount via `zone`).
-        zone = self._to_words(~int(multi) & int(unread_bits))
-        once_c = (c ^ once_w) & zone
-        # Union of coverage of the readers operational in active ∪ {r}, per
-        # candidate row r.  An active reader i contributes unless it is
-        # already silenced within the active set, or candidate r silences
-        # it; candidate r contributes unless some active reader silences r
-        # (the diagonal of the silencer matrix is clear).
-        union = np.zeros_like(c)
-        sil = self._silencer_bool
-        silencers = self._silencers  # big-int rows, from PureKernel
+        once, multi, u = int(once), int(multi), int(unread_bits)
+        operational = self._operational(active, int(active_bits))
         cand_idx = np.asarray(cands, dtype=np.int64)
-        for i in active:
-            if silencers[i] & active_bits:
-                continue
-            keep = ~sil[i, cand_idx]
-            if keep.all():
-                union |= self._words[i]
-            else:
-                union[keep] |= self._words[i]
-        if active:
+        c = self._words[cand_idx]
+        sil = self._silencer_bool
+        # [r operational] · |c_r ∩ F|, F = unread tags no active reader covers
+        weights = popcount_words(c & self._to_words(~(once | multi) & u)).sum(
+            axis=1, dtype=np.int64
+        )
+        if len(active):
             act_idx = np.asarray(active, dtype=np.int64)
-            cand_operational = ~sil[np.ix_(cand_idx, act_idx)].any(axis=1)
-        else:
-            cand_operational = np.ones(len(cands), dtype=bool)
-        if cand_operational.all():
-            union |= c
-        else:
-            union[cand_operational] |= c[cand_operational]
-        return popcount_words(union & once_c).sum(axis=1, dtype=np.int64)
+            weights[sil[np.ix_(cand_idx, act_idx)].any(axis=1)] = 0
+        if not operational:
+            return weights
+        # + |W| − |c_r ∩ W|, W = disjoint union of the owned sets O_i
+        op_idx = np.asarray(operational, dtype=np.int64)
+        owned = self._words[op_idx] & self._to_words(once & u)
+        well = np.bitwise_or.reduce(owned, axis=0)
+        weights += int(popcount_words(well).sum())
+        weights -= popcount_words(c & well).sum(axis=1, dtype=np.int64)
+        # − |O_i \ c_r| for each operational reader i that r silences
+        op_pos, cand_pos = np.nonzero(sil[np.ix_(op_idx, cand_idx)])
+        if op_pos.size:
+            lost = popcount_words(owned[op_pos] & ~c[cand_pos]).sum(
+                axis=1, dtype=np.int64
+            )
+            np.subtract.at(weights, cand_pos, lost)
+        return weights
 
     def new_coverage_counts(self, once, multi, unread_bits, candidates):
         """Batched collision-naive fresh-coverage counts."""

@@ -16,7 +16,9 @@ Three layers of the bit-identity contract are pinned here:
   same schedules and the same work counters under both backends.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ import pytest
 from repro.core.mcs import greedy_covering_schedule
 from repro.core.oneshot import get_solver
 from repro.faults import FaultPlan, PermanentCrash
+from repro.model.system import build_system
 from repro.model.weights import BitsetWeightOracle
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
@@ -172,6 +175,87 @@ def test_batch_min_cutoff_is_wallclock_only():
 
 
 # ---------------------------------------------------------------------------
+# adversarial climb equivalence
+# ---------------------------------------------------------------------------
+def _adversarial_system(kind, seed, n=80, m=700):
+    """Geometries the owned-tag identity of the climb kernels must survive:
+    readers stacked on a few shared sites (every site silences itself),
+    interrogation radius equal to the interference radius, and a dense
+    square where one candidate silences several operational readers."""
+    rng = np.random.default_rng(seed)
+    side = 60.0
+    if kind == "colocated":
+        sites = rng.uniform(0.0, side, size=(8, 2))
+        pos = sites[rng.integers(0, len(sites), size=n)]
+        R = rng.integers(4, 14, size=n).astype(float)
+        gamma = np.minimum(rng.integers(3, 10, size=n), R).astype(float)
+    elif kind == "r_equals_gamma":
+        pos = rng.uniform(0.0, side, size=(n, 2))
+        R = rng.integers(4, 14, size=n).astype(float)
+        gamma = R.copy()
+    else:  # dense: many small readers under a quarter of wide blasters
+        pos = rng.uniform(0.0, side, size=(n, 2))
+        R = np.where(rng.random(n) < 0.25, rng.uniform(15.0, 30.0, n),
+                     rng.uniform(3.0, 6.0, n))
+        gamma = np.minimum(rng.uniform(3.0, 8.0, size=n), R)
+    tags = rng.uniform(0.0, side, size=(m, 2))
+    return build_system(pos, R, gamma, tags)
+
+
+@pytest.mark.parametrize("kind", ["colocated", "r_equals_gamma", "dense"])
+@pytest.mark.parametrize("seed", [601, 602])
+def test_climb_weights_adversarial(kind, seed):
+    """pure == numpy == climber.weight_with == system.weight on every
+    candidate, for active sets grown past BATCH_MIN and frontiers that
+    include the already-active readers."""
+    system = _adversarial_system(kind, seed)
+    n = system.num_readers
+    pure, fast = PureKernel(system), NumpyKernel(system)
+    rng = np.random.default_rng(seed)
+    unread = rng.random(system.num_tags) < 0.8
+    climber = GeneralizedWeightClimber(system, unread)
+    sil = system.in_interference_range
+    order = rng.permutation(n)
+    if kind == "dense":
+        # Grow the small readers first so the blasters stay candidates.
+        blaster = system.interference_radii[order] > 10.0
+        order = order[np.argsort(blaster, kind="stable")]
+    order = order[: BATCH_MIN + 16]
+    checkpoints = {0, 1, 5, BATCH_MIN - 1, BATCH_MIN + 1, len(order)}
+    multi_silenced = 0
+    for step, r in enumerate(order, start=1):
+        climber.add(int(r))
+        if step not in checkpoints:
+            continue
+        active = climber.active
+        operational = system.operational_readers(active)
+        silenced = sil[operational].sum(axis=0)
+        silenced[active] = 0
+        multi_silenced += int((silenced >= 2).sum())
+        args = (
+            climber._once,
+            climber._multi,
+            active,
+            climber._active_bits,
+            climber.unread_mask,
+        )
+        for cands in (list(range(n)), list(range(n - 1, -1, -1)), active):
+            got_pure = pure.climb_weights_with(*args, cands)
+            got_fast = fast.climb_weights_with(*args, cands)
+            expect = [climber.weight_with(c) for c in cands]
+            assert got_pure.tolist() == expect
+            assert got_fast.tolist() == expect
+        # system.weight deduplicates its argument, so it is the reference
+        # only for candidates outside the active set.
+        in_set = set(active)
+        for c in range(n):
+            if c not in in_set:
+                assert climber.weight_with(c) == system.weight(active + [c], unread)
+    if kind == "dense":
+        assert multi_silenced > 0
+
+
+# ---------------------------------------------------------------------------
 # selection layer
 # ---------------------------------------------------------------------------
 class TestSelection:
@@ -231,6 +315,25 @@ class TestSelection:
         assert k1 is k2
         assert k1 is not k3
         assert k1.name == "pure" and k3.name == "numpy"
+
+    @pytest.mark.parametrize("backend", ["pure", "numpy"])
+    def test_kernel_memo_releases_system(self, backend):
+        system = make_random_system(12, 80, 30.0, 9.0, 5.0, 95)
+        kernel_for(system, backend)
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("backend", ["pure", "numpy"])
+    def test_ptas_memo_releases_system(self, backend):
+        system = make_random_system(12, 80, 30.0, 9.0, 5.0, 96)
+        with use_backend(backend):
+            get_solver("ptas", k=2)(system, None, 3)
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
     def test_kernel_methods_match_interface(self):
         abstract = {
@@ -303,6 +406,29 @@ class TestSolverEquivalence:
                 _counters(collector),
             )
         assert runs["pure"] == runs["numpy"]
+
+    def test_dense_ghc_schedule_bit_identical(self):
+        """GHC on a ~300-reader dense deployment: the climb kernels agree
+        on every slot's active set and read count."""
+        rng = np.random.default_rng(97)
+        n, m, side = 300, 3000, 140.0
+        R = np.maximum(rng.poisson(10.0, size=n), 1).astype(float)
+        system = build_system(
+            rng.uniform(0.0, side, size=(n, 2)),
+            R,
+            np.minimum(np.maximum(rng.poisson(5.0, size=n), 1), R),
+            rng.uniform(0.0, side, size=(m, 2)),
+        )
+        runs = {}
+        for backend in ("pure", "numpy"):
+            with use_backend(backend):
+                schedule = greedy_covering_schedule(system, get_solver("ghc"), seed=5)
+            runs[backend] = (
+                [s.active.tolist() for s in schedule.slots],
+                schedule.reads_per_slot(),
+            )
+        assert runs["pure"] == runs["numpy"]
+        assert sum(runs["numpy"][1]) == int(system.covered_by_any().sum())
 
     def test_mcs_fault_world_bit_identical(self):
         system = make_random_system(12, 90, 35.0, 9.0, 5.0, 93)
