@@ -15,18 +15,25 @@ consumers (the builders here return read-only or immutable objects).
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 from repro.perf.packed import pack_square_bool
 
-_CACHES: "weakref.WeakKeyDictionary[Any, dict]" = weakref.WeakKeyDictionary()
+# Keyed by weak references to the systems, each registered with the dict's
+# own C-level ``pop`` as its callback, so an entry leaves with its system
+# without running any Python code.  ``weakref.WeakKeyDictionary`` removes
+# entries through a Python callback instead, and a signal handler that runs
+# inside such a callback has its exception swallowed ("Exception ignored"),
+# which loses a graceful-shutdown request (repro.cli).  Values must not
+# refer back to their system, or the system can never be freed.
+_CACHES: "Dict[weakref.ref, dict]" = {}
 
 
 def system_memo(system: Any, key: Hashable, build: Callable[[], Any]) -> Any:
     """Value of *build()* memoised under *key* for this *system*."""
-    cache = _CACHES.get(system)
+    cache = _CACHES.get(weakref.ref(system))
     if cache is None:
-        cache = _CACHES.setdefault(system, {})
+        cache = _CACHES.setdefault(weakref.ref(system, _CACHES.pop), {})
     try:
         return cache[key]
     except KeyError:

@@ -16,6 +16,8 @@ paths bit-for-bit.  This suite pins that contract:
 """
 
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,27 @@ class TestSystemCaches:
         b = system_memo(system, "k", lambda: calls.append(1) or object())
         assert a is b
         assert calls == [1]
+
+    def test_system_memo_entry_leaves_without_python_code(self):
+        """A memoised system's entry goes with it without running Python
+        code, so a signal handler cannot fire (and have its exception
+        swallowed) inside the cleanup."""
+        system = make_random_system(6, 40, 30.0, 8.0, 5.0, seed=8)
+        system_memo(system, "k", dict)
+        ref = weakref.ref(system)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            del system
+        finally:
+            sys.setprofile(None)
+        assert ref() is None
+        assert calls == []
 
     def test_conflict_and_silencer_bits_match_matrices(self):
         system = make_random_system(10, 50, 30.0, 10.0, 5.0, seed=7)
