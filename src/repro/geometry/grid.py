@@ -8,13 +8,35 @@ builder uses it to avoid the full O(n²) distance matrix for large n.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.geometry.points import as_points
 from repro.util.validation import check_positive
+
+
+Key = Tuple[int, int]
+
+
+def group_by_key(keys: np.ndarray) -> Dict[Key, np.ndarray]:
+    """Row indices of the ``(k, 2)`` integer *keys*, grouped per key.
+
+    One stable lexsort orders the rows by key; ties keep their input order,
+    so every bucket comes out ascending and needs no per-bucket sort.
+    Buckets are listed in ascending key order and are read-only views.
+    """
+    if len(keys) == 0:
+        return {}
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    order.setflags(write=False)  # buckets are views into it
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)))
+    )
+    return dict(
+        zip(map(tuple, sorted_keys[starts].tolist()), np.split(order, starts[1:]))
+    )
 
 
 class SpatialHashGrid:
@@ -32,15 +54,9 @@ class SpatialHashGrid:
     def __init__(self, points: np.ndarray, cell_size: float):
         self._points = as_points(points, "points")
         self._cell = check_positive("cell_size", cell_size)
-        lists: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        keys = np.floor(self._points / self._cell).astype(np.int64)
-        for idx, (kx, ky) in enumerate(keys):
-            lists[(int(kx), int(ky))].append(idx)
-        # Freeze buckets as index arrays; insertion order is ascending, so
-        # each bucket is already sorted and queries need no per-bucket sort.
-        self._buckets: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.asarray(idxs, dtype=np.int64) for key, idxs in lists.items()
-        }
+        self._buckets = group_by_key(
+            np.floor(self._points / self._cell).astype(np.int64)
+        )
 
     def __len__(self) -> int:
         return len(self._points)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -71,16 +72,20 @@ def disk_levels(scaled_radii: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(levels, 0)
 
 
-def _grid_floor(numerator: float, k: int) -> int:
-    """``floor(numerator / k)`` that stays consistent across levels for
-    subnormal coordinates: a negative *numerator* whose quotient underflows
-    to ``-0.0`` belongs to cell ``-1``, not ``0`` (plain ``floor`` would
-    disagree with the same point's deeper, non-underflowing levels and break
-    square nesting)."""
-    q = numerator / k
-    if q == 0.0 and numerator < 0.0:
-        return -1
-    return math.floor(q)
+def _scaled_floor(coord: float, sp: float, level: int, k: int) -> int:
+    """``floor(coord · (k+1)^level)``, exact for every finite *coord*.
+
+    The float quotient ``coord / sp`` is off by a few ulps at most, so it
+    is trusted unless it lies that close to an integer; there the floor is
+    taken in exact rational arithmetic.  A rounded quotient could otherwise
+    put a point within an ulp of a grid line on different sides of that
+    line at two levels and break square nesting.
+    """
+    q = coord / sp
+    f = math.floor(q)
+    if min(q - f, f + 1 - q) > 8 * math.ulp(q):
+        return f
+    return math.floor(Fraction(coord) * Fraction(k + 1) ** level)
 
 
 def _interval_hits_lines(x: float, radius: float, sp: float, k: int, residue: int) -> bool:
@@ -157,11 +162,12 @@ class ShiftedHierarchy:
     def square_at(self, level: int, point) -> Square:
         """The *level*-square containing *point* (half-open cells: a point on
         a shifted line belongs to the square on its right/top)."""
+        level = int(level)
         sp = self.spacing(level)
-        px, py = float(point[0]), float(point[1])
-        col = _grid_floor(px / sp - self.r, self.k)
-        row = _grid_floor(py / sp - self.s, self.k)
-        return Square(int(level), int(col), int(row))
+        k = self.k
+        col = (_scaled_floor(float(point[0]), sp, level, k) - self.r) // k
+        row = (_scaled_floor(float(point[1]), sp, level, k) - self.s) // k
+        return Square(level, col, row)
 
     def square_bounds(self, sq: Square) -> Tuple[float, float, float, float]:
         """``(x0, x1, y0, y1)`` of *sq* (left/bottom closed, right/top open)."""

@@ -17,6 +17,18 @@ import numpy as np
 from repro.util.validation import check_positive
 
 
+def check_reader_radii(interference_radius: float, interrogation_radius: float) -> None:
+    """Raise unless both radii are finite and positive with ``γ ≤ R``
+    (up to 1e-12)."""
+    check_positive("interference_radius", interference_radius)
+    check_positive("interrogation_radius", interrogation_radius)
+    if interrogation_radius > interference_radius + 1e-12:
+        raise ValueError(
+            "interrogation radius must not exceed interference radius: "
+            f"γ={interrogation_radius} > R={interference_radius}"
+        )
+
+
 @dataclass(frozen=True)
 class Reader:
     """An RFID reader with fixed position and radii."""
@@ -30,13 +42,7 @@ class Reader:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"reader id must be >= 0, got {self.id}")
-        check_positive("interference_radius", self.interference_radius)
-        check_positive("interrogation_radius", self.interrogation_radius)
-        if self.interrogation_radius > self.interference_radius + 1e-12:
-            raise ValueError(
-                "interrogation radius must not exceed interference radius: "
-                f"γ={self.interrogation_radius} > R={self.interference_radius}"
-            )
+        check_reader_radii(self.interference_radius, self.interrogation_radius)
 
     @property
     def position(self) -> np.ndarray:

@@ -21,14 +21,19 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.disks import independence_matrix, mutual_interference_matrix
+from repro.geometry.disks import mutual_interference_matrix
 from repro.geometry.points import as_points, pairwise_sq_distances
-from repro.model.reader import Reader
+from repro.model.reader import Reader, check_reader_radii
 from repro.model.tag import Tag
 
 
 class RFIDSystem:
-    """Immutable multi-reader RFID deployment.
+    """Immutable multi-reader RFID deployment, stored as arrays.
+
+    :func:`build_system` constructs one straight from coordinate and radius
+    arrays; this entity constructor converts its arguments to the same
+    arrays.  Either way entities are not kept: :meth:`reader`, :meth:`tag`,
+    :attr:`readers` and :attr:`tags` rebuild them on demand.
 
     Parameters
     ----------
@@ -40,66 +45,58 @@ class RFIDSystem:
     """
 
     def __init__(self, readers: Sequence[Reader], tags: Sequence[Tag]):
-        self._readers: List[Reader] = list(readers)
-        self._tags: List[Tag] = list(tags)
-        for idx, rd in enumerate(self._readers):
+        readers = list(readers)
+        tags = list(tags)
+        for idx, rd in enumerate(readers):
             if rd.id != idx:
                 raise ValueError(f"reader at index {idx} has id {rd.id}")
-        for idx, tg in enumerate(self._tags):
+        for idx, tg in enumerate(tags):
             if tg.id != idx:
                 raise ValueError(f"tag at index {idx} has id {tg.id}")
-
-        n = len(self._readers)
-        m = len(self._tags)
-        self._reader_pos = (
-            np.array([[rd.x, rd.y] for rd in self._readers], dtype=np.float64)
-            if n
-            else np.empty((0, 2))
-        )
-        self._tag_pos = (
-            np.array([[tg.x, tg.y] for tg in self._tags], dtype=np.float64)
-            if m
-            else np.empty((0, 2))
-        )
-        self._interference_radii = np.array(
-            [rd.interference_radius for rd in self._readers], dtype=np.float64
-        )
-        self._interrogation_radii = np.array(
-            [rd.interrogation_radius for rd in self._readers], dtype=np.float64
+        self._init_arrays(
+            [[rd.x, rd.y] for rd in readers],
+            [rd.interference_radius for rd in readers],
+            [rd.interrogation_radius for rd in readers],
+            [[tg.x, tg.y] for tg in tags],
         )
 
-        if n and m:
-            r2 = self._interrogation_radii[None, :] ** 2
-            if n * m <= 4_000_000:
-                sq = pairwise_sq_distances(self._tag_pos, self._reader_pos)
-                self._coverage = sq <= r2
-            else:
-                # Chunk tag rows so the float64 squared-distance transient
-                # stays bounded (~32 MB) however large the deployment; the
-                # boolean result is identical to the one-shot computation.
-                self._coverage = np.empty((m, n), dtype=bool)
-                step = max(1, 4_000_000 // n)
-                for lo in range(0, m, step):
-                    hi = min(lo + step, m)
-                    sq = pairwise_sq_distances(
-                        self._tag_pos[lo:hi], self._reader_pos
-                    )
-                    self._coverage[lo:hi] = sq <= r2
-        else:
-            self._coverage = np.zeros((m, n), dtype=bool)
+    def _init_arrays(
+        self, reader_positions, interference_radii, interrogation_radii,
+        tag_positions,
+    ) -> None:
+        """The single construction path: validate the four arrays with
+        :class:`Reader`'s rules and derive the shared matrices from them."""
+        self._reader_pos = _positions(reader_positions, "reader_positions")
+        self._tag_pos = _positions(tag_positions, "tag_positions")
+        R = np.array(interference_radii, dtype=np.float64)
+        gamma = np.array(interrogation_radii, dtype=np.float64)
+        self._interference_radii, self._interrogation_radii = R, gamma
+        n = len(self._reader_pos)
+        m = len(self._tag_pos)
+        if R.shape != (n,) or gamma.shape != (n,):
+            raise ValueError("radii arrays must match number of reader positions")
+        valid = np.isfinite(R) & (R > 0) & np.isfinite(gamma) & (gamma > 0)
+        valid &= gamma <= R + 1e-12
+        if not valid.all():
+            # the first offending reader raises exactly what Reader would
+            i = int(np.argmin(valid))
+            check_reader_radii(float(R[i]), float(gamma[i]))
 
-        if n:
-            self._in_range = mutual_interference_matrix(
-                self._reader_pos, self._interference_radii
-            )
-            self._independent = independence_matrix(
-                self._reader_pos, self._interference_radii
-            )
-        else:
-            self._in_range = np.zeros((0, 0), dtype=bool)
-            self._independent = np.zeros((0, 0), dtype=bool)
-        self._conflict = ~self._independent
-        np.fill_diagonal(self._conflict, False)
+        # Chunk tag rows so the float64 squared-distance transient stays
+        # bounded (~32 MB) however large the deployment; up to 4·10⁶
+        # tag-reader pairs it is a single chunk.
+        self._coverage = np.empty((m, n), dtype=bool)
+        r2 = gamma[None, :] ** 2
+        step = max(1, 4_000_000 // max(n, 1))
+        for lo in range(0, m, step):
+            sq = pairwise_sq_distances(self._tag_pos[lo:lo + step], self._reader_pos)
+            self._coverage[lo:lo + step] = sq <= r2
+
+        self._in_range = mutual_interference_matrix(self._reader_pos, R)
+        # symmetrised RTc predicate = not independent (Definition 2)
+        self._conflict = self._in_range | self._in_range.T
+        self._independent = ~self._conflict
+        np.fill_diagonal(self._independent, False)
         # lazily built packed kernels (see repro.perf); the system is
         # immutable, so these never need invalidation
         self._packed_coverage = None
@@ -111,30 +108,37 @@ class RFIDSystem:
     @property
     def num_readers(self) -> int:
         """Number of readers."""
-        return len(self._readers)
+        return len(self._reader_pos)
 
     @property
     def num_tags(self) -> int:
         """Number of tags."""
-        return len(self._tags)
+        return len(self._tag_pos)
 
     @property
     def readers(self) -> List[Reader]:
-        """Reader entities (copy of the list)."""
-        return list(self._readers)
+        """Reader entities, built on demand from the stored arrays."""
+        return [self.reader(i) for i in range(self.num_readers)]
 
     @property
     def tags(self) -> List[Tag]:
-        """Tag entities (copy of the list)."""
-        return list(self._tags)
+        """Tag entities, built on demand from the stored arrays."""
+        return [self.tag(t) for t in range(self.num_tags)]
 
     def reader(self, i: int) -> Reader:
-        """Reader *i*."""
-        return self._readers[i]
+        """Reader *i* (list indexing: negative counts from the end)."""
+        i = range(self.num_readers)[i]
+        x, y = self._reader_pos[i].tolist()
+        return Reader(
+            i, x, y, float(self._interference_radii[i]),
+            float(self._interrogation_radii[i]),
+        )
 
     def tag(self, t: int) -> Tag:
-        """Tag *t*."""
-        return self._tags[t]
+        """Tag *t* (list indexing: negative counts from the end)."""
+        t = range(self.num_tags)[t]
+        x, y = self._tag_pos[t].tolist()
+        return Tag(t, x, y)
 
     @property
     def reader_positions(self) -> np.ndarray:
@@ -286,6 +290,13 @@ class RFIDSystem:
         return f"RFIDSystem(n_readers={self.num_readers}, n_tags={self.num_tags})"
 
 
+def _positions(points, name: str) -> np.ndarray:
+    """A private float64 ``(k, 2)`` copy of *points*; empty input gives
+    ``(0, 2)``."""
+    arr = np.array(points, dtype=np.float64)
+    return as_points(arr, name) if arr.size else np.empty((0, 2))
+
+
 def build_system(
     reader_positions: np.ndarray,
     interference_radii: np.ndarray,
@@ -294,32 +305,14 @@ def build_system(
 ) -> RFIDSystem:
     """Array-first constructor for :class:`RFIDSystem`.
 
-    Convenient for deployment generators and property-based tests that work
-    with raw arrays rather than entity lists.
+    Validates the arrays with :class:`~repro.model.reader.Reader`'s rules
+    and builds the system straight from them, with no per-entity objects,
+    so deployment generators and the per-cell subsystems of the scale tier
+    pay only for the derived matrices.
     """
-    reader_positions = as_points(reader_positions, "reader_positions")
-    tag_positions = (
-        as_points(tag_positions, "tag_positions")
-        if len(np.atleast_1d(tag_positions))
-        else np.empty((0, 2))
+    system = RFIDSystem.__new__(RFIDSystem)
+    system._init_arrays(
+        reader_positions, interference_radii, interrogation_radii,
+        tag_positions,
     )
-    interference_radii = np.asarray(interference_radii, dtype=np.float64)
-    interrogation_radii = np.asarray(interrogation_radii, dtype=np.float64)
-    n = len(reader_positions)
-    if interference_radii.shape != (n,) or interrogation_radii.shape != (n,):
-        raise ValueError("radii arrays must match number of reader positions")
-    readers = [
-        Reader(
-            id=i,
-            x=float(reader_positions[i, 0]),
-            y=float(reader_positions[i, 1]),
-            interference_radius=float(interference_radii[i]),
-            interrogation_radius=float(interrogation_radii[i]),
-        )
-        for i in range(n)
-    ]
-    tags = [
-        Tag(id=t, x=float(tag_positions[t, 0]), y=float(tag_positions[t, 1]))
-        for t in range(len(tag_positions))
-    ]
-    return RFIDSystem(readers, tags)
+    return system

@@ -45,11 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.grid import Key, group_by_key
 from repro.geometry.points import as_points
 from repro.model.system import RFIDSystem, build_system
 from repro.shard.spec import ShardSpec, interaction_radius
-
-Key = Tuple[int, int]
 
 #: Chebyshev one-ring offsets around a bucket, the bucket itself excluded.
 RING_OFFSETS: Tuple[Key, ...] = tuple(
@@ -62,23 +61,6 @@ def _bucket_keys(points: np.ndarray, origin: np.ndarray, side: float) -> np.ndar
     if len(points) == 0:
         return np.empty((0, 2), dtype=np.int64)
     return np.floor((points - origin[None, :]) / side).astype(np.int64)
-
-
-def _group_by_key(keys: np.ndarray) -> Dict[Key, np.ndarray]:
-    """Indices grouped by grid key; each bucket ascending (stable sort)."""
-    buckets: Dict[Key, np.ndarray] = {}
-    if len(keys) == 0:
-        return buckets
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    change = np.flatnonzero(
-        (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    )
-    starts = np.concatenate(([0], change + 1, [len(order)]))
-    for s, e in zip(starts[:-1], starts[1:]):
-        kx, ky = sorted_keys[s]
-        buckets[(int(kx), int(ky))] = np.sort(order[s:e])
-    return buckets
 
 
 def _dist_to_rect(
@@ -265,10 +247,10 @@ class ShardPartition:
         origin = mins
 
         reader_keys = _bucket_keys(rpos, origin, side)
-        reader_buckets = _group_by_key(reader_keys)
+        reader_buckets = group_by_key(reader_keys)
         if len(reader_buckets) <= 1:
             return trivial()
-        tag_buckets = _group_by_key(_bucket_keys(tpos, origin, side))
+        tag_buckets = group_by_key(_bucket_keys(tpos, origin, side))
 
         cell_keys = sorted(reader_buckets)
         cell_index = {key: i for i, key in enumerate(cell_keys)}

@@ -7,10 +7,20 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.deployment import Scenario
 from repro.model import build_system
+
+# A falsifying example found only in CI must be replayable locally: the ``ci``
+# profile prints a ``@reproduce_failure`` blob with the failure.  It inherits
+# everything else from the active default (Hypothesis's own CI profile on
+# releases that auto-load one), and every test's own ``@settings`` still
+# applies on top.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.grid import SpatialHashGrid
+from repro.geometry.grid import SpatialHashGrid, group_by_key
 from repro.geometry.points import points_in_radius
 
 
@@ -23,6 +23,48 @@ class TestConstruction:
         grid = SpatialHashGrid(pts, 2.5)
         assert grid.cell_size == 2.5
         np.testing.assert_array_equal(grid.points, pts)
+
+
+class TestBuckets:
+    @staticmethod
+    def _bruteforce(pts, cell):
+        want = {}
+        for idx, (x, y) in enumerate(pts):
+            key = (int(np.floor(x / cell)), int(np.floor(y / cell)))
+            want.setdefault(key, []).append(idx)
+        return want
+
+    @given(seed=st.integers(0, 500), cell=st.floats(0.3, 8.0), n=st.integers(0, 60))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_bruteforce_grouping(self, seed, cell, n):
+        rng = np.random.default_rng(seed)
+        # straddle the origin so negative keys floor away from zero
+        pts = rng.uniform(-10, 10, size=(n, 2))
+        grid = SpatialHashGrid(pts, cell)
+        want = self._bruteforce(pts, cell)
+        assert sorted(grid._buckets) == sorted(want)
+        for key, idxs in want.items():
+            np.testing.assert_array_equal(grid._buckets[key], idxs)
+
+    def test_negative_keys_and_duplicates(self):
+        pts = np.array([[-0.5, -0.5], [0.5, 0.5], [-0.5, -0.5], [-1.0, 0.0]])
+        buckets = SpatialHashGrid(pts, 1.0)._buckets
+        assert list(buckets) == [(-1, -1), (-1, 0), (0, 0)]
+        np.testing.assert_array_equal(buckets[(-1, -1)], [0, 2])
+        np.testing.assert_array_equal(buckets[(-1, 0)], [3])
+        np.testing.assert_array_equal(buckets[(0, 0)], [1])
+
+    def test_empty_point_set(self):
+        grid = SpatialHashGrid(np.empty((0, 2)), 1.0)
+        assert grid._buckets == {}
+        assert grid.query_radius([0, 0], 5.0).size == 0
+        assert grid.pairs_within(5.0) == []
+        assert group_by_key(np.empty((0, 2), dtype=np.int64)) == {}
+
+    def test_buckets_are_read_only(self):
+        buckets = group_by_key(np.array([[0, 0], [0, 0], [1, 0]]))
+        with pytest.raises(ValueError):
+            buckets[(0, 0)][0] = 7
 
 
 class TestQueryRadius:

@@ -43,6 +43,124 @@ class TestConstruction:
         assert line_system.interference_radii.shape == (3,)
 
 
+def _arrays(n=4, m=9, seed=0):
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(2.0, 5.0, n)
+    return (
+        rng.uniform(0, 20, (n, 2)),
+        R,
+        R * rng.uniform(0.3, 1.0, n),
+        rng.uniform(0, 20, (m, 2)),
+    )
+
+
+class TestArrayConstruction:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "interference_radius must be finite"),
+            (np.inf, "interference_radius must be finite"),
+            (-np.inf, "interference_radius must be finite"),
+            (0.0, "interference_radius must be > 0"),
+            (-1.0, "interference_radius must be > 0"),
+        ],
+    )
+    def test_rejects_bad_interference_radius(self, bad, message):
+        rpos, R, gamma, tpos = _arrays()
+        R[2] = bad
+        with pytest.raises(ValueError, match=message):
+            build_system(rpos, R, gamma, tpos)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "interrogation_radius must be finite"),
+            (np.inf, "interrogation_radius must be finite"),
+            (0.0, "interrogation_radius must be > 0"),
+            (-1.0, "interrogation_radius must be > 0"),
+        ],
+    )
+    def test_rejects_bad_interrogation_radius(self, bad, message):
+        rpos, R, gamma, tpos = _arrays()
+        gamma[1] = bad
+        with pytest.raises(ValueError, match=message):
+            build_system(rpos, R, gamma, tpos)
+
+    def test_messages_match_reader(self):
+        rpos, R, gamma, tpos = _arrays()
+        R[1], gamma[1] = 2.0, 2.0 + 1e-9
+        R[3] = -1.0  # a later offender must not mask the first one
+        with pytest.raises(ValueError) as from_arrays:
+            build_system(rpos, R, gamma, tpos)
+        with pytest.raises(ValueError) as from_entity:
+            Reader(id=1, x=0.0, y=0.0, interference_radius=2.0,
+                   interrogation_radius=2.0 + 1e-9)
+        assert str(from_arrays.value) == str(from_entity.value)
+        assert "must not exceed interference radius" in str(from_arrays.value)
+
+    def test_gamma_tolerance(self):
+        rpos, R, gamma, tpos = _arrays()
+        gamma[0] = R[0] + 5e-13
+        assert build_system(rpos, R, gamma, tpos).num_readers == 4
+        gamma[0] = R[0] + 2e-12
+        with pytest.raises(ValueError, match="must not exceed"):
+            build_system(rpos, R, gamma, tpos)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entity_and_array_paths_agree(self, seed):
+        rpos, R, gamma, tpos = _arrays(n=7, m=40, seed=seed)
+        readers = [
+            Reader(id=i, x=float(x), y=float(y), interference_radius=float(R[i]),
+                   interrogation_radius=float(gamma[i]))
+            for i, (x, y) in enumerate(rpos)
+        ]
+        tags = [Tag(id=t, x=float(x), y=float(y)) for t, (x, y) in enumerate(tpos)]
+        a = RFIDSystem(readers, tags)
+        b = build_system(rpos, R, gamma, tpos)
+        for name in ("coverage", "in_interference_range", "conflict"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.readers == readers and b.readers == readers
+        assert a.tags == tags and b.tags == tags
+
+    def test_entity_views_index_like_lists(self, line_system):
+        assert line_system.reader(-1) == line_system.readers[2]
+        assert line_system.reader(-1).id == 2
+        assert line_system.tag(-4).id == 0
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                line_system.reader(bad)
+        with pytest.raises(IndexError):
+            line_system.tag(4)
+
+    def test_system_does_not_alias_inputs(self):
+        rpos, R, gamma, tpos = _arrays()
+        system = build_system(rpos, R, gamma, tpos)
+        before = system.coverage.copy()
+        rpos += 100.0
+        tpos[:] = 0.0
+        assert system.reader(0).x != rpos[0, 0]
+        np.testing.assert_array_equal(system.coverage, before)
+
+    def test_builds_no_entities(self, monkeypatch):
+        """The array path must not materialise a Reader or Tag per entity."""
+        built = {"reader": 0, "tag": 0}
+        reader_init, tag_init = Reader.__post_init__, Tag.__post_init__
+
+        def count(kind, init):
+            def wrapped(self):
+                built[kind] += 1
+                init(self)
+            return wrapped
+
+        monkeypatch.setattr(Reader, "__post_init__", count("reader", reader_init))
+        monkeypatch.setattr(Tag, "__post_init__", count("tag", tag_init))
+        system = build_system(*_arrays(n=50, m=1200))
+        assert system.num_readers == 50 and system.num_tags == 1200
+        assert built == {"reader": 0, "tag": 0}
+        system.reader(0), system.tag(0)
+        assert built == {"reader": 1, "tag": 1}
+
+
 class TestCoverage:
     def test_incidence(self, line_system):
         cov = line_system.coverage
