@@ -536,8 +536,8 @@ def greedy_covering_schedule(
         and not shard_rt.partition.is_trivial
     )
     outcome: Optional[ScheduleOutcome] = None
-    # one persistent worker pool for every slot of a sharded run (no-op for
-    # serial/trivial/pool-disabled specs; see ShardRuntime.pool_scope)
+    # one persistent worker pool for every slot of a sharded run (serial at
+    # one worker, absent for trivial partitions; see ShardRuntime.pool_scope)
     pool_cm = (
         shard_rt.pool_scope(solver, solver_takes_context, rec)
         if shard_rt is not None

@@ -9,8 +9,8 @@ dict (one metric per algorithm, typically).  Results are aggregated per
 is seeded by its own ``(value, seed)`` pair — never by execution order — and
 results are merged back in grid order (values outer, seeds inner), so
 ``SweepResult.raw`` is byte-identical to a serial run.  On fork-less
-platforms :func:`~repro.perf.parallel.fork_map` degrades to a thread pool
-(with a RuntimeWarning) — the merge order and hence ``SweepResult.raw`` are
+platforms the :class:`~repro.perf.pool.WorkerPool` degrades to a thread
+pool (with a RuntimeWarning) — the merge order and hence ``SweepResult.raw`` are
 unchanged.  Telemetry caveat: events emitted *inside* ``measure`` stay in
 the worker and are discarded under fork, but *interleave into the parent's
 recorder* under the thread fallback; the per-point ``SweepPoint`` events
@@ -56,7 +56,6 @@ def run_sweep(
     measure: Measure,
     seeds: Sequence[int],
     workers: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> SweepResult:
     """Run *measure* over the grid ``param_values × seeds`` and aggregate.
 
@@ -70,12 +69,6 @@ def run_sweep(
         on up to ``N`` forked processes, merging in grid order so the raw
         samples match the serial run byte-for-byte; ``-1`` uses the CPU
         count.  Falls back to threads where ``fork`` is unavailable.
-    pool:
-        Optional caller-held :class:`~repro.perf.pool.WorkerPool` to
-        dispatch the grid through — callers running several sweeps pass one
-        pool so the workers fork once (``measure`` must be registered with
-        it before the pool starts).  When ``None`` the sweep holds its own
-        pool for the grid; *workers* is ignored when *pool* is given.
     """
     if not param_values:
         raise ValueError("param_values must be non-empty")
@@ -94,12 +87,8 @@ def run_sweep(
     # whose recorders are discarded, so per-point child spans are not
     # observable here.  SweepPoint events attach to this span.
     with span("sweep.run", param=param_name, points=len(grid)):
-        if pool is not None:
+        with WorkerPool(workers) as pool:
             outcomes = pool.map(run_point, grid)
-        else:
-            with WorkerPool(workers) as own:
-                own.register(run_point)
-                outcomes = own.map(run_point, grid)
 
         rec = get_recorder()
         raw: Dict[Tuple[str, float], List[float]] = {}

@@ -199,10 +199,8 @@ class ShardMerge:
 @dataclass(frozen=True)
 class PoolDispatch:
     """The parallel tier ran one deterministic map of *tasks* payloads in
-    *mode* (``"fork"`` / ``"thread"`` for the persistent
-    :class:`~repro.perf.pool.WorkerPool`, ``"fork-oneshot"`` /
-    ``"thread-oneshot"`` for a per-call :func:`~repro.perf.parallel.
-    fork_map`).  *spawned* counts worker pools brought up for this dispatch
+    *mode* (``"fork"`` or ``"thread"``, from the persistent
+    :class:`~repro.perf.pool.WorkerPool`).  *spawned* counts worker pools brought up for this dispatch
     (0 = an already-running pool was reused — the persistent pool's whole
     point), *payload_bytes* the pickled task bytes shipped to workers
     (measured only while a recorder is enabled), and *dispatch_s* /

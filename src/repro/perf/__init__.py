@@ -10,12 +10,11 @@ Low-level representations and execution helpers shared by the solver stack:
 * :mod:`repro.perf.incremental` — incremental generalised-weight engine for
   hill-climbing searches (exactly matches
   :meth:`~repro.model.system.RFIDSystem.weight` on infeasible sets);
-* :mod:`repro.perf.parallel` — opt-in fork-based process parallelism with
-  deterministic, order-preserving merges (thread-pool fallback where
-  ``fork`` is unavailable);
-* :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`: same merge
-  contract as :func:`fork_map`, but forked once per run and reused across
-  slots/sweep points/bench jobs so spawn and pickle costs amortise;
+* :mod:`repro.perf.pool` — opt-in process parallelism through the
+  persistent :class:`WorkerPool`: deterministic, order-preserving merges,
+  forked once per run and reused across slots/sweep points/bench jobs so
+  spawn and pickle costs amortise (thread-pool fallback where ``fork`` is
+  unavailable);
 * :mod:`repro.perf.slotdelta` — cross-slot incremental MCS state: the
   unread mask maintained by clearing served-tag bits, per-reader remaining
   covered counts (reader retirement) and warm starts for the next slot.
@@ -35,8 +34,7 @@ shrink.  See ``docs/performance.md``.
 from repro.perf.cache import conflict_bits, silencer_bits, system_memo
 from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.packed import PackedCoverage, popcount_words
-from repro.perf.parallel import env_default_workers, fork_map, resolve_workers
-from repro.perf.pool import WorkerPool
+from repro.perf.pool import WorkerPool, env_default_workers, resolve_workers
 from repro.perf.slotdelta import ScheduleContext
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "silencer_bits",
     "GeneralizedWeightClimber",
     "ScheduleContext",
-    "fork_map",
     "resolve_workers",
     "env_default_workers",
     "WorkerPool",

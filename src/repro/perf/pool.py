@@ -1,28 +1,26 @@
-"""Persistent worker pool: fork once, dispatch per slot.
+"""Process parallelism: one persistent, deterministic worker pool.
 
-:func:`~repro.perf.parallel.fork_map` pays process startup and teardown on
-**every call** — fine for a single bench matrix, ruinous for a sharded
-covering schedule that dispatches once per slot.  :class:`WorkerPool` keeps
-the same deterministic payload-order merge contract but holds its workers
-for the life of a run, so the fork/pickle tax is paid once and every later
-dispatch ships only small deltas (per-cell seeds, retired-tag suffixes,
-returned activation sets).
+:class:`WorkerPool` maps a callable over a payload list and returns the
+results **in payload order** — callers merge exactly as they would
+serially, so parallel output is byte-identical to serial output whenever
+the callable is deterministic per payload.  The pool holds its workers for
+the life of a run (a sharded covering schedule dispatches once per slot),
+so the fork is paid once and every later dispatch ships only small deltas
+(per-cell seeds, retired-tag suffixes, returned activation sets).  It is
+the repo's only process- or thread-starting module.
 
 How heavy state reaches the workers
 -----------------------------------
 
 Workers are created with the ``fork`` start method, so they inherit the
 parent's entire heap — partitions, halo subsystems, packed coverage words —
-as copy-on-write pages at fork time, for free.  That is the same
-shared-immutable-state mechanism ``fork_map`` relies on, made *persistent*:
-because the pool outlives many dispatches, callables that close over the
-heavy state must be **registered before the pool starts**
-(:meth:`WorkerPool.register`, implicit on the first :meth:`WorkerPool.map`)
-so the fork snapshot contains them.  Module-level functions pickle by
-reference and may be dispatched at any time without registration.  A
-non-registrable callable arriving after the fork degrades to a one-shot
-:func:`~repro.perf.parallel.fork_map` — recorded in
-:attr:`WorkerPool.fallback_maps` and warned once, never silent.
+as copy-on-write pages at fork time, for free.  Because the pool outlives
+many dispatches, callables that close over the heavy state must be
+**registered before the pool starts** (:meth:`WorkerPool.register`,
+implicit on the first :meth:`WorkerPool.map`) so the fork snapshot contains
+them.  Module-level functions pickle by reference and may be dispatched at
+any time without registration.  Any other callable arriving after the fork
+raises :class:`RuntimeError`, exactly as :meth:`WorkerPool.register` does.
 
 Mutable cross-slot state stays in the parent; callers broadcast compact
 delta arrays through the payloads and workers catch up locally (see
@@ -32,11 +30,15 @@ rejected: fork inheritance already shares the immutable gigabytes with zero
 code, while shared-memory segments would add lifecycle management for the
 small mutable part that pickles in microseconds.
 
-Degradation mirrors ``fork_map``: ``workers<=1`` runs every map serially
-in-process (no pool, no events), fork-less platforms run a persistent
-thread pool after the once-per-process :class:`RuntimeWarning`, and both
-paths preserve the payload-order merge, so worker count and pool mode never
-change results.
+Degradation: ``workers<=1`` runs every map serially in-process (no pool,
+no events); fork-less platforms (Windows, spawn-only interpreters) run a
+persistent thread pool after a once-per-process :class:`RuntimeWarning`.
+Threads share the process-wide recorder, so ambient events from concurrent
+payloads interleave into the caller's recorder under that fallback.  A
+pool constructed inside a pool worker runs serially — daemonic workers
+cannot fork children — counted in :data:`nested_serial_calls` and warned
+once per process.  Every path preserves the payload-order merge, so worker
+count and pool mode never change results.
 
 Supervision
 -----------
@@ -47,31 +49,32 @@ respawns the worker but the in-flight chunk is lost and ``get()`` never
 returns.  Fork-mode dispatches are therefore *supervised*: the result wait
 polls, reaping worker exitcodes (and pid churn from the pool's own
 maintenance thread) and enforcing an optional per-dispatch deadline
-(``dispatch_deadline_s``, default from ``REPRO_POOL_DEADLINE`` seconds).
-On a detected death or deadline hit the broken workers are torn down and
-the whole payload slice is retried on a freshly forked pool — bounded by
-``max_respawns`` with exponential backoff — and once the respawn budget is
-spent, replayed serially in the parent as a last resort.  Either way the
-dispatch returns the same payload-order results (cell solves are
-deterministic functions of their payloads), so a crashed worker degrades a
-run instead of hanging or failing it.  Thread and serial maps run in the
-parent and are not supervised.
+(``REPRO_POOL_DEADLINE`` seconds, see :func:`dispatch_deadline`).  On a
+detected death or deadline hit the broken workers are torn down and the
+whole payload slice is retried on a freshly forked pool — bounded by
+:data:`MAX_RESPAWNS` with exponential backoff from
+:data:`RESPAWN_BACKOFF_S` — and once the respawn budget is spent, replayed
+serially in the parent as a last resort.  Either way the dispatch returns
+the same payload-order results (cell solves are deterministic functions of
+their payloads), so a crashed worker degrades a run instead of hanging or
+failing it.  Thread and serial maps run in the parent and are not
+supervised.
 
 Telemetry: every non-serial dispatch runs under a ``pool.dispatch`` span
 and emits one :class:`~repro.obs.events.PoolDispatch` event
 (``pool_spawns`` / ``pool_tasks`` / ``pool_payload_bytes`` counters plus
 ``pool.dispatch`` / ``pool.collect`` stage timings in the exported
-metrics).  A persistent pool shows ``pool_spawns == 1`` per run where the
-per-slot ``fork_map`` path shows one spawn per parallel slot — the
-amortisation is visible in the BENCH records.  Every supervised recovery
-additionally emits a :class:`~repro.obs.events.PoolRecovery` event
-(``pool_respawns`` / ``pool_deadline_hits`` counters).  When the parent's
-recorder is enabled at dispatch time, fork-mode workers additionally run
-the cross-process trace relay (:mod:`repro.obs.relay`): their events are
-buffered (bounded), shipped back on the result payloads and replayed —
-span ids rebased, roots re-parented — under the dispatch's
-``pool.dispatch`` span, so ``--workers N`` traces stay one coherent tree.
-See ``docs/performance.md`` and ``docs/observability.md``.
+metrics); a persistent pool shows ``pool_spawns == 1`` per run.  Every
+supervised recovery additionally emits a
+:class:`~repro.obs.events.PoolRecovery` event (``pool_respawns`` /
+``pool_deadline_hits`` counters).  When the parent's recorder is enabled
+at dispatch time, fork-mode workers additionally run the cross-process
+trace relay (:mod:`repro.obs.relay`): their events are buffered (bounded),
+shipped back on the result payloads and replayed — span ids rebased, roots
+re-parented — under the dispatch's ``pool.dispatch`` span, so
+``--workers N`` traces stay one coherent tree.  Serial maps emit nothing,
+so serial records keep their historical shape.  See
+``docs/performance.md`` and ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -88,13 +93,19 @@ from typing import Any, Callable, List, Optional, Sequence, Set
 from repro.obs.events import PoolDispatch, PoolRecovery, get_recorder
 from repro.obs.relay import capture_relay, replay_events
 from repro.obs.spans import span
-from repro.perf import parallel
-from repro.perf.parallel import (
-    fork_available,
-    fork_map,
-    in_pool_worker,
-    resolve_workers,
-)
+from repro.util.validation import check_workers
+
+#: Total fresh pools the supervisor may fork over one pool's life before it
+#: degrades to serial maps permanently.
+MAX_RESPAWNS = 2
+
+#: Base of the exponential backoff slept before each respawn, seconds.
+RESPAWN_BACKOFF_S = 0.05
+
+#: Result-wait poll granularity of the supervised fork dispatch, seconds.
+#: Coarse enough to be free (one ``Condition.wait`` wake-up per interval),
+#: fine enough that a dead worker is noticed promptly.
+_SUPERVISE_POLL_S = 0.1
 
 #: Worker-side registry: the owning pool points this at its registered
 #: callables immediately before forking, so children inherit the list (and
@@ -103,15 +114,143 @@ from repro.perf.parallel import (
 #: register-before-start contract.
 _WORKER_TASKS: Optional[List[Callable[[Any], Any]]] = None
 
+#: True inside a forked :class:`WorkerPool` worker (set by the pool's
+#: initializer).  Parent processes never set it.
+_IN_POOL_WORKER = False
+
+#: Set after the first thread-pool degradation warning; the fallback is a
+#: property of the platform, so it is reported once per process.
+_THREAD_FALLBACK_WARNED = False
+
+#: Pools constructed inside a pool worker and hence run serially, counted
+#: in *this* process (worker processes count their own occurrences; the
+#: tallies die with them).
+nested_serial_calls = 0
+
+_NESTED_WARNED = False
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists on this platform."""
+    return (
+        hasattr(os, "fork")
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
+def in_pool_worker() -> bool:
+    """True when the calling process is a forked pool worker (a
+    :class:`WorkerPool` child or any daemonic ``multiprocessing`` worker).
+    Thread-mode and serial dispatches run in the parent, where this stays
+    False."""
+    return _IN_POOL_WORKER or multiprocessing.current_process().daemon
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a ``workers`` argument: ``None``/``0`` → 1 (serial),
+    negative → CPU count."""
+    if workers is None or workers == 0:
+        return 1
+    if workers < 0:
+        return os.cpu_count() or 1
+    return int(workers)
+
+
+def env_default_workers(cli_value: Optional[int] = None) -> Optional[int]:
+    """The effective worker count under the ``REPRO_WORKERS`` environment
+    default: an explicit *cli_value* always wins, else the environment
+    variable (validated), else ``None`` (serial).  Precedence CLI > env >
+    serial — every ``--workers`` CLI flag routes through here."""
+    if cli_value is not None:
+        return cli_value
+    raw = os.environ.get("REPRO_WORKERS")
+    if raw is None or not raw.strip():
+        return None
+    return check_workers("REPRO_WORKERS", raw)
+
+
+def dispatch_deadline() -> Optional[float]:
+    """Per-dispatch deadline of supervised fork maps from
+    ``REPRO_POOL_DEADLINE`` (seconds); ``None`` when unset or blank — the
+    supervisor then watches worker health only.  A non-numeric or
+    non-positive value raises :class:`ValueError` naming the variable."""
+    raw = os.environ.get("REPRO_POOL_DEADLINE")
+    if raw is None or not raw.strip():
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = 0.0
+    if not value > 0:  # also rejects "nan"
+        raise ValueError(
+            f"REPRO_POOL_DEADLINE must be a positive number of seconds, "
+            f"got {raw!r}"
+        )
+    return value
+
+
+def reset_inherited_signal_handlers() -> None:
+    """Restore default ``SIGTERM``/``SIGINT`` dispositions in a forked
+    pool worker.
+
+    Children inherit whatever handlers the parent installed — notably the
+    CLI's graceful-shutdown trap, which turns both signals into a Python
+    exception.  Inside a pool worker that inheritance is fatal: stdlib
+    ``Pool._terminate_pool`` SIGTERMs straggling workers *after*
+    permanently seizing the task-queue read lock, and the worker loop's
+    broad ``except Exception`` around its result ``put`` can swallow the
+    raised interrupt — the worker survives its own termination, loops back
+    to ``get()`` and deadlocks against the parent's held lock (the parent
+    then hangs forever in ``join``).  Resetting to ``SIG_DFL`` keeps
+    ``terminate()`` lethal, which pool teardown depends on.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return  # pragma: no cover - initializers run on the worker main thread
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            signal.signal(sig, signal.SIG_DFL)
+        except (ValueError, OSError):  # pragma: no cover - exotic platforms
+            pass
+
+
+def _note_nested_serial() -> None:
+    """Record one pool degraded to serial inside a pool worker."""
+    global nested_serial_calls, _NESTED_WARNED
+    nested_serial_calls += 1
+    if not _NESTED_WARNED:
+        _NESTED_WARNED = True
+        warnings.warn(
+            "nested parallel dispatch: already running inside a pool "
+            "worker, so this WorkerPool runs serially (counted in "
+            "repro.perf.pool.nested_serial_calls; see docs/performance.md)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def _warn_thread_fallback() -> None:
+    """Emit the once-per-process thread-degradation warning."""
+    global _THREAD_FALLBACK_WARNED
+    if not _THREAD_FALLBACK_WARNED:
+        _THREAD_FALLBACK_WARNED = True
+        warnings.warn(
+            "os.fork unavailable on this platform; falling back to a "
+            "thread pool (results identical, telemetry events from "
+            "concurrent payloads interleave)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
 
 def _pool_worker_init() -> None:
     """Runs once in each forked child: mark the process as a pool worker so
-    nested parallel dispatches degrade serially (recorded, not crashed —
-    daemonic workers cannot fork children), and restore default signal
-    dispositions so ``terminate()`` stays lethal
-    (:func:`~repro.perf.parallel.reset_inherited_signal_handlers`)."""
-    parallel._IN_POOL_WORKER = True
-    parallel.reset_inherited_signal_handlers()
+    nested pools degrade serially (recorded, not crashed — daemonic
+    workers cannot fork children), and restore default signal dispositions
+    so ``terminate()`` stays lethal
+    (:func:`reset_inherited_signal_handlers`)."""
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+    reset_inherited_signal_handlers()
 
 
 def _pool_invoke(task: tuple) -> tuple:
@@ -125,26 +264,6 @@ def _pool_invoke(task: tuple) -> tuple:
     # the parent's recorder state at dispatch time — never the fork time.
     result, relayed = capture_relay(target, payload)
     return index, result, relayed
-
-
-#: Result-wait poll granularity of the supervised fork dispatch, seconds.
-#: Coarse enough to be free (one ``Condition.wait`` wake-up per interval),
-#: fine enough that a dead worker is noticed promptly.
-_SUPERVISE_POLL_S = 0.1
-
-
-def _env_dispatch_deadline() -> Optional[float]:
-    """Per-dispatch deadline from ``REPRO_POOL_DEADLINE`` (seconds), or
-    ``None`` when unset/invalid — the supervisor then watches worker health
-    only."""
-    raw = os.environ.get("REPRO_POOL_DEADLINE", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 class _DispatchFailure(Exception):
@@ -172,21 +291,11 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Worker count, in the :func:`~repro.perf.parallel.resolve_workers`
-        convention (``None``/``0`` serial, negative = CPU count).  Resolved
-        once at construction; ``<= 1`` makes every :meth:`map` a plain
-        in-process loop and never starts anything.
-    dispatch_deadline_s:
-        Optional per-dispatch wall-clock deadline for supervised fork maps;
-        a dispatch exceeding it is treated like a worker failure (torn
-        down, retried on a fresh pool, last-resort serial replay).
-        ``None`` (the default) reads ``REPRO_POOL_DEADLINE`` (seconds) and
-        falls back to health-only supervision when that is unset.
-    max_respawns:
-        Total fresh pools the supervisor may fork over this pool's life
-        before it degrades to serial maps permanently.
-    respawn_backoff_s:
-        Base of the exponential backoff slept before each respawn.
+        Worker count, in the :func:`resolve_workers` convention
+        (``None``/``0`` serial, negative = CPU count).  Resolved once at
+        construction; ``<= 1`` makes every :meth:`map` a plain in-process
+        loop and never starts anything.  The supervision deadline is read
+        here too (:func:`dispatch_deadline`).
 
     Usage::
 
@@ -200,13 +309,7 @@ class WorkerPool:
     the workers, so solver exceptions can never leak children.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int],
-        dispatch_deadline_s: Optional[float] = None,
-        max_respawns: int = 2,
-        respawn_backoff_s: float = 0.05,
-    ) -> None:
+    def __init__(self, workers: Optional[int]) -> None:
         self._workers = resolve_workers(workers)
         self._mode = (
             "serial"
@@ -215,34 +318,19 @@ class WorkerPool:
         )
         if self._workers > 1 and in_pool_worker():
             # a pool inside a pool worker cannot fork; run its maps serially
-            parallel._note_nested_serial()
+            _note_nested_serial()
         self._registry: List[Callable[[Any], Any]] = []
         self._procs = None
         self._threads: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._spawn_pending = 0
         self._spawn_seconds = 0.0
-        #: Dispatches that fell back to one-shot ``fork_map`` because the
-        #: callable was neither registered before the fork nor picklable by
-        #: reference.
-        self.fallback_maps = 0
-        self._fallback_warned = False
-        if dispatch_deadline_s is not None and dispatch_deadline_s <= 0:
-            raise ValueError(
-                f"dispatch_deadline_s must be positive, got {dispatch_deadline_s}"
-            )
-        self._deadline_s = (
-            dispatch_deadline_s
-            if dispatch_deadline_s is not None
-            else _env_dispatch_deadline()
-        )
-        self._max_respawns = max(0, int(max_respawns))
-        self._backoff_s = max(0.0, float(respawn_backoff_s))
+        self._deadline_s = dispatch_deadline()
         self._worker_pids: Set[int] = set()
         #: Fresh pools forked by the supervisor after a worker death or
-        #: deadline hit (bounded by ``max_respawns``).
+        #: deadline hit (bounded by :data:`MAX_RESPAWNS`).
         self.respawns = 0
-        #: Supervised dispatches that exceeded ``dispatch_deadline_s``.
+        #: Supervised dispatches that exceeded the deadline.
         self.deadline_hits = 0
         #: True once the respawn budget is spent: every later map runs
         #: serially in the parent (deterministic, just no longer parallel).
@@ -296,7 +384,7 @@ class WorkerPool:
             return
         t0 = time.perf_counter()
         if self._mode == "thread":
-            parallel._warn_thread_fallback()
+            _warn_thread_fallback()
             self._threads = ThreadPoolExecutor(max_workers=self._workers)
         else:
             global _WORKER_TASKS
@@ -318,8 +406,10 @@ class WorkerPool:
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> List[Any]:
         """Map *fn* over *payloads* on the persistent workers; results come
-        back in payload order, exactly as from
-        :func:`~repro.perf.parallel.fork_map`."""
+        back in payload order, exactly as from ``[fn(p) for p in
+        payloads]``.  In fork mode *fn* must be registered before the
+        workers fork or be picklable by reference; any other callable
+        raises :class:`RuntimeError` (:meth:`register`)."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)
@@ -328,29 +418,13 @@ class WorkerPool:
         if self._mode == "serial" or self._broken:
             return [fn(p) for p in payloads]
         handle = self._handle_of(fn)
-        if handle is None and not self.started and self._mode == "fork":
-            handle = self.register(fn)
         if (
             handle is None
             and self._mode == "fork"
-            and not _ref_picklable(fn)
+            and not (self.started and _ref_picklable(fn))
         ):
-            # Registered too late to be in the fork snapshot and not
-            # shippable by reference: degrade to a one-shot fork_map —
-            # recorded, never silent.
-            self.fallback_maps += 1
-            if not self._fallback_warned:
-                self._fallback_warned = True
-                warnings.warn(
-                    "WorkerPool.map: callable not registered before the "
-                    "workers forked and not picklable by reference; "
-                    "falling back to one-shot fork_map (results identical, "
-                    "spawn cost per call — register it earlier, see "
-                    "docs/performance.md)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return fork_map(fn, payloads, self._workers)
+            # join the fork snapshot; once forked, register() raises
+            handle = self.register(fn)
         self.start()
         rec = get_recorder()
         if self._mode == "thread":
@@ -483,10 +557,10 @@ class WorkerPool:
     def _try_respawn(self) -> bool:
         """Fork a fresh worker pool if the respawn budget allows, sleeping
         the exponential backoff first; False once the budget is spent."""
-        if self.respawns >= self._max_respawns:
+        if self.respawns >= MAX_RESPAWNS:
             return False
-        if self._backoff_s > 0:
-            time.sleep(self._backoff_s * (2 ** self.respawns))
+        if RESPAWN_BACKOFF_S > 0:
+            time.sleep(RESPAWN_BACKOFF_S * (2 ** self.respawns))
         self.respawns += 1
         self.start()
         return True

@@ -6,10 +6,11 @@ cell's **owned** unread tags (halo tags start read locally, so each tag's
 weight is credited to exactly one cell).  Every slot it
 
 1. solves each *live* cell (one with owned unread tags left) independently
-   on its halo-augmented subsystem — concurrently via
-   :func:`~repro.perf.parallel.fork_map` when ``spec.workers`` asks for it,
-   with per-cell child seeds drawn from the driver's stream so worker count
-   never changes results;
+   on its halo-augmented subsystem through the run's
+   :class:`~repro.perf.pool.WorkerPool` — concurrently when
+   ``spec.workers`` asks for it, inline otherwise — with per-cell child
+   seeds drawn from the driver's stream so worker count never changes
+   results;
 2. keeps only each cell's **owned** activations (halo readers are advisory:
    they model neighbour interference but only their owner cell may activate
    them);
@@ -40,8 +41,8 @@ Confirmed permanent crashes are applied by :meth:`ShardRuntime.refresh`:
 the partition re-buckets orphaned tags and rebuilds dirtied cells
 (:meth:`~repro.shard.partition.ShardPartition.retire_readers`), the runtime
 rebuilds exactly those cells' contexts from its global unread mask —
-surviving contexts are preserved — and an active persistent pool is
-respawned so workers fork the refreshed state.
+surviving contexts are preserved — and the run's pool is respawned so
+workers fork the refreshed state.
 
 Telemetry: each live cell's solve is captured in a bounded worker-side
 relay buffer (:mod:`repro.obs.relay`) — spans included — shipped back on
@@ -66,8 +67,7 @@ from repro.obs.events import ShardMerge, recording
 from repro.obs.relay import RelayRecorder, relay_payload, replay_events
 from repro.obs.spans import span
 from repro.model.system import build_system
-from repro.perf.parallel import fork_map, in_pool_worker, resolve_workers
-from repro.perf.pool import WorkerPool
+from repro.perf.pool import WorkerPool, in_pool_worker
 from repro.perf.slotdelta import ScheduleContext
 from repro.shard.partition import RefreshReport, ShardPartition
 from repro.util.rng import as_rng
@@ -120,16 +120,15 @@ class ShardRuntime:
                     ScheduleContext(cell.subsystem, local_unread)
                 )
             self._contexts = contexts
-        # per-solve scratch shared with forked workers (set before fork_map)
+        # per-run scratch inherited by forked workers (set by pool_scope)
         self._solver = None
         self._takes_context = False
         self._collect = False
         # degraded per-cell subsystems, keyed by (cell, suspicion bytes);
         # per-process (workers fill their own copies deterministically)
         self._fault_systems = {}
-        # persistent-pool state (active only inside pool_scope)
+        # worker-pool state (active only inside pool_scope)
         self._pool: Optional[WorkerPool] = None
-        self._pool_workers = None
         self._retired_logs: Optional[List[List[np.ndarray]]] = None
         self._pool_applied: Optional[List[int]] = None
 
@@ -151,78 +150,55 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def pool_scope(self, solver, takes_context: bool, rec, workers=None):
+    def pool_scope(self, solver, takes_context: bool, rec):
         """Hold one persistent :class:`~repro.perf.pool.WorkerPool` for
         every slot solved inside the ``with`` block.
 
-        The workers fork *now* and inherit the whole runtime — partition,
-        subsystems, per-cell contexts — as copy-on-write pages; afterwards
-        each :meth:`solve_slot` ships only per-cell seeds plus each cell's
-        retired-tag log, and forked workers replay the log suffix they have
-        not yet applied before solving (``retire_tags`` is idempotent on a
-        tag set, so replay order cannot change state).  Exiting the scope —
-        normally or through a solver exception — terminates and joins the
-        workers, so no child can leak.
-
-        Degrades to a no-op (``solve_slot`` keeps its per-slot
-        :func:`~repro.perf.parallel.fork_map` path, itself serial at one
-        worker) for trivial partitions, serial worker counts, or
-        ``spec.pool=False`` — the A/B comparison leg.  *workers* overrides
-        ``spec.workers`` when given.
+        With ``spec.workers > 1`` the workers fork *now* and inherit the
+        whole runtime — partition, subsystems, per-cell contexts — as
+        copy-on-write pages; afterwards each :meth:`solve_slot` ships only
+        per-cell seeds plus each cell's retired-tag log, and forked workers
+        replay the log suffix they have not yet applied before solving
+        (``retire_tags`` is idempotent on a tag set, so replay order cannot
+        change state).  At one worker the pool is serial: it starts and
+        emits nothing, and every cell is solved inline through the same
+        map.  Exiting the scope — normally or through a solver exception —
+        terminates and joins the workers, so no child can leak.  Trivial
+        partitions hold no pool: their slots are direct full-system solves.
         """
-        spec = self.partition.spec
-        count = spec.workers if workers is None else workers
-        if (
-            self.partition.is_trivial
-            or not spec.pool
-            or resolve_workers(count) <= 1
-        ):
+        if self.partition.is_trivial:
             yield None
             return
         self._solver = solver
         self._takes_context = takes_context
         self._collect = bool(rec.enabled)
-        self._retired_logs = [[] for _ in self.partition.cells]
-        self._pool_applied = [0] * len(self.partition.cells)
-        self._pool_workers = count
-        pool = WorkerPool(count)
         try:
-            pool.register(self._solve_cell_pool)
-            pool.start()  # fork here: contexts are in their slot-0 state
-            self._pool = pool
-            yield pool
+            self._open_pool()
+            yield self._pool
         finally:
-            # close self._pool, not the local: refresh() may have respawned
+            # close self._pool: refresh() may have respawned it
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.close()
-            self._pool_workers = None
             self._solver = None
             self._takes_context = False
             self._collect = False
             self._retired_logs = None
             self._pool_applied = None
 
-    def _solve_cell_pool(self, payload):
-        """Pool worker body: catch the cell up on retirements it has not
-        seen, then solve it (:meth:`_solve_cell`).
-
-        Forked workers keep their fork-time snapshot of the contexts, so
-        the payload carries the cell's full retired-tag log and each worker
-        applies only the suffix beyond its own ``_pool_applied`` watermark.
-        Thread-mode and serial dispatches run in the parent, whose contexts
-        are already authoritative — the :func:`in_pool_worker` guard skips
-        the replay there.
-        """
-        idx, seed, log = payload[0], payload[1], payload[2]
-        if in_pool_worker():
-            applied = self._pool_applied[idx]
-            for entry in log[applied:]:
-                self._contexts[idx].retire_tags(entry)
-            self._pool_applied[idx] = len(log)
-        if len(payload) > 3:
-            return self._solve_cell((idx, seed, payload[3]))
-        return self._solve_cell((idx, seed))
+    def _open_pool(self) -> None:
+        """Start a pool over the runtime's current state.  Retired-tag logs
+        and watermarks exist only for a forking pool — its workers hold a
+        fork-time snapshot of the contexts — and start empty, since the
+        fork inherits every retirement so far."""
+        pool = WorkerPool(self.partition.spec.workers)
+        self._pool = pool
+        n = len(self.partition.cells)
+        forked = pool.mode == "fork"
+        self._retired_logs = [[] for _ in range(n)] if forked else None
+        self._pool_applied = [0] * n if forked else None
+        pool.register(self._solve_cell)
+        pool.start()
 
     # ------------------------------------------------------------------
     def solve_slot(
@@ -241,13 +217,14 @@ class ShardRuntime:
         *rng* is the driver's stream: the trivial path hands it to the
         solver exactly as the unsharded driver would (bit-identity), the
         sharded path draws one child seed per live cell from it.  *rec* is
-        the driver's recorder; *context*/*unread* are the driver-level
-        incremental context and unread mask, consumed only by the trivial
-        path (cells carry their own).  *suspected* is the fault layer's
-        global suspicion mask: each affected cell then solves a degraded
-        subsystem over its unsuspected local readers.  The mask travels in
-        the per-cell payloads, so suspicion-aware solves stay a pure
-        function of the payload and worker count cannot change results.
+        the driver's recorder; *solver*, *takes_context*, *context* and
+        *unread* are consumed only by the trivial path (sharded slots use
+        the solver bound by :meth:`pool_scope`, and cells carry their own
+        contexts).  *suspected* is the fault layer's global suspicion mask:
+        each affected cell then solves a degraded subsystem over its
+        unsuspected local readers.  The mask travels in the per-cell
+        payloads, so suspicion-aware solves stay a pure function of the
+        payload and worker count cannot change results.
         """
         if self.partition.is_trivial:
             system = self.partition.system
@@ -261,51 +238,19 @@ class ShardRuntime:
         # one child seed per live cell, from the driver's stream — worker
         # count never touches the rng, so parallelism cannot change results
         seeds = rng.integers(0, 2 ** 63 - 1, size=len(live))
-        if suspected is None:
-            susp_by_cell = [None] * len(live)
-        else:
-            # per-cell local slices of the global suspicion mask; None for
-            # unaffected cells so their solve (payload, warm start, cache)
-            # is byte-identical to the fault-free one
-            susp_by_cell = []
-            for idx in live:
+        logs = self._retired_logs
+        payloads = []
+        for idx, seed in zip(live, seeds):
+            # the cell's retirement log (forked workers replay their unseen
+            # suffix; see pool_scope), then the cell's local suspicion
+            # slice — omitted for unaffected cells so their solve (payload,
+            # warm start, cache) is byte-identical to the fault-free one
+            payload = (idx, int(seed), tuple(logs[idx]) if logs else ())
+            if suspected is not None:
                 local = suspected[self.partition.cells[idx].all_reader_ids]
-                susp_by_cell.append(local if local.any() else None)
-        if self._pool is not None:
-            # persistent pool: ship seeds plus each cell's retirement log
-            # (workers replay only their unseen suffix; see pool_scope)
-            if suspected is None:
-                payloads = [
-                    (idx, int(seed), tuple(self._retired_logs[idx]))
-                    for idx, seed in zip(live, seeds)
-                ]
-            else:
-                payloads = [
-                    (idx, int(seed), tuple(self._retired_logs[idx]), susp)
-                    for idx, seed, susp in zip(live, seeds, susp_by_cell)
-                ]
-            outputs = self._pool.map(self._solve_cell_pool, payloads)
-        else:
-            self._solver = solver
-            self._takes_context = takes_context
-            self._collect = bool(rec.enabled)
-            if suspected is None:
-                payloads = [
-                    (idx, int(seed)) for idx, seed in zip(live, seeds)
-                ]
-            else:
-                payloads = [
-                    (idx, int(seed), susp)
-                    for idx, seed, susp in zip(live, seeds, susp_by_cell)
-                ]
-            try:
-                outputs = fork_map(
-                    self._solve_cell,
-                    payloads,
-                    self.partition.spec.workers,
-                )
-            finally:
-                self._solver = None
+                payload += (local if local.any() else None,)
+            payloads.append(payload)
+        outputs = self._pool.map(self._solve_cell, payloads)
 
         parts: List[np.ndarray] = []
         halo_total = 0
@@ -349,20 +294,30 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     def _solve_cell(self, payload):
-        """Worker body: solve one cell with its own seeded rng.
+        """Worker body: catch the cell up on retirements it has not seen,
+        then solve it with its own seeded rng.
 
-        Runs in a forked worker under ``fork_map`` (or inline when serial).
-        The payload is ``(cell, seed)`` or ``(cell, seed, suspicion)``; a
-        non-empty local suspicion mask routes the solve through a degraded
-        subsystem over the unsuspected local readers (no warm-start context
-        — the cell context indexes the full subsystem).  Returns ``(owned
-        active readers as global ids, relay payload)`` — the relay payload
+        The payload is ``(cell, seed, log)`` or ``(cell, seed, log,
+        suspicion)``.  Forked workers keep their fork-time snapshot of the
+        contexts, so they apply only the suffix of the cell's retired-tag
+        log beyond their own ``_pool_applied`` watermark; serial and thread
+        maps run in the parent, whose contexts are already authoritative
+        and whose payloads carry an empty log.  A non-empty local suspicion
+        mask routes the solve through a degraded subsystem over the
+        unsuspected local readers (no warm-start context — the cell context
+        indexes the full subsystem).  Returns ``(owned active readers as
+        global ids, relay payload)`` — the relay payload
         (:func:`repro.obs.relay.relay_payload`, ``None`` with telemetry
         off) carries the solve's full captured trace, spans included; only
         picklable values cross the process boundary.
         """
-        idx, seed = payload[0], payload[1]
-        susp = payload[2] if len(payload) > 2 else None
+        idx, seed, log = payload[0], payload[1], payload[2]
+        susp = payload[3] if len(payload) > 3 else None
+        if log and in_pool_worker():
+            applied = self._pool_applied[idx]
+            for entry in log[applied:]:
+                self._contexts[idx].retire_tags(entry)
+            self._pool_applied[idx] = len(log)
         cell = self.partition.cells[idx]
         ctx = self._contexts[idx]
         local_rng = as_rng(seed)
@@ -496,8 +451,8 @@ class ShardRuntime:
             local = np.searchsorted(cell.tag_ids, tags[s:e])
             self._contexts[int(c)].retire_tags(local)
             if self._retired_logs is not None:
-                # pool active: append to the cell's log so forked workers
-                # can catch up before their next solve (pool_scope)
+                # forked pool: append to the cell's log so its workers can
+                # catch up before their next solve (pool_scope)
                 self._retired_logs[int(c)].append(local)
 
     # ------------------------------------------------------------------
@@ -509,9 +464,9 @@ class ShardRuntime:
         rebuilds exactly the dirtied cells' contexts from the runtime's
         global unread mask (already-read tags stay read; surviving cells
         keep their contexts object-identically), drops emptied cells'
-        contexts to zero unread, and — when a persistent pool is active —
-        respawns it so workers fork the refreshed partition instead of
-        their stale snapshot.  Degraded-subsystem caches are cleared: a
+        contexts to zero unread, and — inside :meth:`pool_scope` — respawns
+        the pool so workers fork the refreshed partition instead of their
+        stale snapshot.  Degraded-subsystem caches are cleared: a
         rebuilt cell's local id map changed.
         """
         if self._contexts is None:
@@ -538,18 +493,11 @@ class ShardRuntime:
         return report
 
     def _respawn_pool(self) -> None:
-        """Replace the persistent pool after a refresh: the old fork
-        snapshot holds stale cells/contexts.  The new fork inherits the
-        parent's fully-retired contexts, so logs and watermarks restart
-        empty — there is nothing left to replay."""
+        """Replace the pool after a refresh: the old fork snapshot holds
+        stale cells/contexts (:meth:`_open_pool`)."""
         old, self._pool = self._pool, None
         old.close()
-        self._retired_logs = [[] for _ in self.partition.cells]
-        self._pool_applied = [0] * len(self.partition.cells)
-        pool = WorkerPool(self._pool_workers)
-        pool.register(self._solve_cell_pool)
-        pool.start()
-        self._pool = pool
+        self._open_pool()
 
     # ------------------------------------------------------------------
     def best_singleton(

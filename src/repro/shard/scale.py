@@ -202,7 +202,6 @@ def run_scale_schedule(
     solver: str = "ghc",
     seed: RngLike = None,
     max_slots: Optional[int] = None,
-    workers_hint: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     policy: Optional[FaultPolicy] = None,
     max_stall_slots: Optional[int] = None,
@@ -213,8 +212,7 @@ def run_scale_schedule(
     :func:`repro.core.oneshot.get_solver` and applied per cell.  *spec*
     must yield a non-trivial partition — a deployment that collapses to
     one cell belongs in :func:`repro.core.mcs.greedy_covering_schedule`,
-    which this function refuses to duplicate.  *workers_hint* overrides
-    ``spec.workers`` without rebuilding the spec (CLI convenience).
+    which this function refuses to duplicate.
 
     Termination mirrors the MCS driver: a slot that would read nothing
     activates the best owned singleton
@@ -234,13 +232,6 @@ def run_scale_schedule(
     from repro.core.oneshot import get_solver  # deferred: core imports shard
 
     rpos, interference, interrogation, tpos = deployment.materialize()
-    if workers_hint is not None:
-        spec = ShardSpec(
-            cells=spec.cells,
-            workers=workers_hint,
-            halo_scale=spec.halo_scale,
-            pool=spec.pool,
-        )
     partition = ShardPartition.from_arrays(
         rpos, interference, interrogation, tpos, spec
     )
@@ -281,8 +272,8 @@ def run_scale_schedule(
     total_read = 0
     stall_run = 0
     stalled = False
-    # one persistent worker pool for the whole schedule (no-op when serial
-    # or spec.pool=False; see ShardRuntime.pool_scope)
+    # one persistent worker pool for the whole schedule (serial at one
+    # worker; see ShardRuntime.pool_scope)
     with runtime.pool_scope(solver_fn, takes_context, rec):
         while runtime.num_unread > 0 and len(slots) < cap:
             slot = len(slots)

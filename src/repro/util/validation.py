@@ -79,7 +79,7 @@ def check_workers(name: str, value) -> int:
     environment variable arrives as text).  Booleans are rejected, as are
     floats and non-numeric strings.  Any value is allowed on the integer
     line: ``0`` means serial and negative means CPU count, exactly the
-    :func:`repro.perf.parallel.resolve_workers` convention.
+    :func:`repro.perf.pool.resolve_workers` convention.
     """
     if isinstance(value, str):
         try:

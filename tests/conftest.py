@@ -12,6 +12,13 @@ from hypothesis import strategies as st
 
 from repro.deployment import Scenario
 from repro.model import build_system
+from repro.obs.collectors import RunCollector
+
+#: The collector's pool-counter block: dispatch telemetry (spawns, tasks,
+#: payload bytes, recoveries, relay drops) exported only when a parallel
+#: dispatch ran — it says *how* the work was dispatched, not *what* was
+#: computed, so worker-count comparisons drop exactly these keys.
+POOL_COUNTERS = tuple(RunCollector().pool_counters)
 
 # A falsifying example found only in CI must be replayable locally: the ``ci``
 # profile prints a ``@reproduce_failure`` blob with the failure.  It inherits

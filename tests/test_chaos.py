@@ -10,7 +10,8 @@ from repro.experiments.chaos import (
     write_chaos_files,
 )
 from repro.obs.export import load_bench, validate_run
-from repro.perf.parallel import env_default_workers
+from repro.perf.pool import env_default_workers
+from tests.conftest import POOL_COUNTERS
 
 SMALL_SCENARIO = dict(
     num_readers=6,
@@ -38,7 +39,7 @@ def _pinned(metrics):
     return {
         k: v for k, v in metrics.items()
         if not k.endswith(("_s", "_by_name"))
-        and not k.startswith("pool_")
+        and k not in POOL_COUNTERS
         and k != "histograms"  # wall-clock distributions, machine-local
     }
 

@@ -45,7 +45,7 @@ from repro.obs import (
     write_report,
 )
 from repro.obs.sink import JsonlSink, event_to_dict
-from repro.perf.parallel import fork_available, fork_map
+from repro.perf.pool import WorkerPool, fork_available
 from repro.shard.spec import ShardSpec
 
 SMALL = Scenario(
@@ -321,10 +321,12 @@ class _BoobyTrap:
 
 @needs_fork
 class TestForkMapRelay:
+    """The relay under a map on forked :class:`WorkerPool` workers."""
+
     def test_worker_spans_relayed_under_pool_dispatch(self):
         reset_spans()
-        with recording(TraceRecorder()) as rec:
-            results = fork_map(_emit_traced, [1, 2, 3], workers=2)
+        with recording(TraceRecorder()) as rec, WorkerPool(2) as pool:
+            results = pool.map(_emit_traced, [1, 2, 3])
         assert results == [2, 4, 6]
         names = _span_names(rec.events)
         calls = [
@@ -342,8 +344,8 @@ class TestForkMapRelay:
     def test_relay_off_with_recorder_disabled(self):
         from repro.obs.events import recording as rec_ctx
 
-        with rec_ctx(_BoobyTrap()):
-            assert fork_map(_emit_traced, [1, 2, 3], workers=2) == [2, 4, 6]
+        with rec_ctx(_BoobyTrap()), WorkerPool(2) as pool:
+            assert pool.map(_emit_traced, [1, 2, 3]) == [2, 4, 6]
 
 
 class TestShardRelay:

@@ -29,8 +29,8 @@ from repro.model.weights import BitsetWeightOracle
 from repro.perf import (
     GeneralizedWeightClimber,
     PackedCoverage,
+    WorkerPool,
     conflict_bits,
-    fork_map,
     popcount_words,
     resolve_workers,
     silencer_bits,
@@ -246,66 +246,74 @@ class TestParallelExecution:
         assert resolve_workers(3) == 3
         assert resolve_workers(-1) >= 1
 
-    def test_fork_map_preserves_order(self):
+    @staticmethod
+    def pool_map(fn, payloads, workers):
+        """One map on a fresh pool, as a caller holding it for one call."""
+        with WorkerPool(workers) as pool:
+            return pool.map(fn, payloads)
+
+    def test_pool_map_preserves_order(self):
         payloads = list(range(20))
-        assert fork_map(lambda x: x * x, payloads, workers=4) == [
+        assert self.pool_map(lambda x: x * x, payloads, workers=4) == [
             x * x for x in payloads
         ]
 
-    def test_fork_map_serial_fallback(self):
-        assert fork_map(lambda x: x + 1, [1, 2, 3], workers=1) == [2, 3, 4]
-        assert fork_map(lambda x: x + 1, [7], workers=8) == [8]
+    def test_pool_map_serial_at_one_worker(self):
+        with WorkerPool(1) as pool:
+            assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+            assert pool.mode == "serial" and not pool.started
+        assert self.pool_map(lambda x: x + 1, [7], workers=None) == [8]
 
-    def test_fork_map_thread_fallback_without_fork(self, monkeypatch):
+    def test_pool_thread_fallback_without_fork(self, monkeypatch):
         """On a platform without ``os.fork`` (Windows, spawn-only builds)
-        fork_map must warn once and degrade to a thread pool with
+        the pool must warn once and degrade to a thread pool with
         byte-identical, payload-ordered results."""
         import os as os_module
 
-        from repro.perf import parallel as parallel_module
+        from repro.perf import pool as pool_module
 
         monkeypatch.delattr(os_module, "fork")
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(pool_module, "_THREAD_FALLBACK_WARNED", False)
         payloads = list(range(17))
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
-            got = fork_map(lambda x: x * 3 + 1, payloads, workers=4)
+            got = self.pool_map(lambda x: x * 3 + 1, payloads, workers=4)
         assert got == [x * 3 + 1 for x in payloads]
 
-    def test_fork_map_thread_fallback_spawn_only(self, monkeypatch):
+    def test_pool_thread_fallback_spawn_only(self, monkeypatch):
         """The same degradation triggers when fork exists but is not an
         available multiprocessing start method."""
         import multiprocessing
 
-        from repro.perf import parallel as parallel_module
+        from repro.perf import pool as pool_module
 
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(pool_module, "_THREAD_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning):
-            got = fork_map(lambda x: x - 1, [5, 6, 7], workers=2)
+            got = self.pool_map(lambda x: x - 1, [5, 6, 7], workers=2)
         assert got == [4, 5, 6]
 
-    def test_fork_map_thread_fallback_warns_once_per_process(self, monkeypatch):
+    def test_pool_thread_fallback_warns_once_per_process(self, monkeypatch):
         """The degradation warning fires on the first fallback only — the
-        platform does not change between calls, so later calls stay silent
+        platform does not change between pools, so later pools stay silent
         (and still produce ordered results)."""
         import os as os_module
         import warnings as warnings_module
 
-        from repro.perf import parallel as parallel_module
+        from repro.perf import pool as pool_module
 
         monkeypatch.delattr(os_module, "fork")
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(pool_module, "_THREAD_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
-            fork_map(lambda x: x + 1, [1, 2, 3], workers=2)
+            self.pool_map(lambda x: x + 1, [1, 2, 3], workers=2)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            got = fork_map(lambda x: x + 1, [4, 5, 6], workers=2)
+            got = self.pool_map(lambda x: x + 1, [4, 5, 6], workers=2)
         assert got == [5, 6, 7]
 
-    def test_fork_map_serial_paths_never_warn(self, monkeypatch):
-        """The degradations for ``workers<=1`` / single payload stay silent
+    def test_pool_serial_paths_never_warn(self, monkeypatch):
+        """Serial pools (``workers`` of ``None``/``0``/``1``) stay silent
         even on fork-less platforms — nothing platform-specific runs."""
         import os as os_module
         import warnings as warnings_module
@@ -313,8 +321,10 @@ class TestParallelExecution:
         monkeypatch.delattr(os_module, "fork")
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            assert fork_map(lambda x: x, [1, 2, 3], workers=1) == [1, 2, 3]
-            assert fork_map(lambda x: x, [9], workers=4) == [9]
+            for workers in (None, 0, 1):
+                assert self.pool_map(lambda x: x, [1, 2, 3], workers) == [
+                    1, 2, 3
+                ]
 
     def test_run_sweep_parallel_byte_identical_to_serial(self):
         from repro.experiments.sweep import run_sweep

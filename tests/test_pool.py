@@ -3,15 +3,14 @@
 The pool's contract has four load-bearing clauses, each pinned here:
 
 * **amortisation** — one fork per run (``pool_spawns == 1``) no matter how
-  many slots/maps dispatch through it, where the legacy per-slot
-  ``fork_map`` path spawns once per parallel dispatch;
+  many slots/maps dispatch through it, plus one per partition refresh;
 * **bit-identity** — worker count and pool mode (fork / thread / serial)
   never change schedules or work counters;
 * **clean shutdown** — exiting the pool (normally or through a solver
   exception) terminates and joins every child;
-* **recorded degradation** — nested dispatches and post-fork closures fall
-  back serially / one-shot with a counter and a once-per-process warning,
-  never silently;
+* **recorded degradation** — nested pools run serially with a counter and
+  a once-per-process warning, never silently; a closure that missed the
+  fork snapshot is rejected, never silently re-forked;
 * **supervision** — a SIGKILLed or wedged worker never hangs a dispatch:
   the pool tears down, respawns within its budget (``pool_respawns``),
   enforces the per-dispatch deadline (``pool_deadline_hits``), and replays
@@ -19,25 +18,35 @@ The pool's contract has four load-bearing clauses, each pinned here:
   results (:class:`~repro.obs.events.PoolRecovery`).
 
 Plus the ``REPRO_WORKERS`` environment default honoured by every
-``--workers`` CLI flag (precedence CLI > env > serial).
+``--workers`` CLI flag (precedence CLI > env > serial), and the guard that
+the pool is the only module starting processes or threads.
 """
 
+import ast
 import multiprocessing
 import os
 import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import get_solver, greedy_covering_schedule
+from repro.faults import FaultPlan, PermanentCrash
+from repro.model import build_system
 from repro.obs.collectors import RunCollector
 from repro.obs.events import PoolDispatch, PoolRecovery, TraceRecorder, recording
-from repro.perf import parallel as parallel_module
 from repro.perf import pool as pool_module
-from repro.perf.parallel import env_default_workers, fork_map, in_pool_worker
-from repro.perf.pool import WorkerPool
-from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
+from repro.perf.pool import WorkerPool, env_default_workers, in_pool_worker
+from repro.shard import (
+    ScaleDeployment,
+    ShardRuntime,
+    ShardSpec,
+    run_scale_schedule,
+)
 from repro.util.validation import check_workers
+from tests.conftest import POOL_COUNTERS
 
 #: Small enough for CI, sharded enough (>= 4 live cells) that every slot
 #: actually dispatches parallel work.
@@ -50,14 +59,8 @@ TIMING = (
     "solver_wall_clock_s",
     "solver_seconds_by_name",
     "stage_seconds_by_name",
-    "pool_spawns",
-    "pool_tasks",
-    "pool_payload_bytes",
-    "pool_respawns",
-    "pool_deadline_hits",
-    "relay_dropped_events",
     "histograms",
-)
+) + POOL_COUNTERS
 
 
 def run_scale(spec, record=True):
@@ -181,14 +184,14 @@ class TestWorkerPool:
             with pytest.raises(RuntimeError, match="already forked"):
                 pool.register(_Scaler(3).mul)
 
-    def test_post_fork_closure_falls_back_oneshot(self):
+    def test_post_fork_closure_rejected(self):
         k = 7
         with WorkerPool(2) as pool:
             pool.map(_double, [1])  # fork now, closure not in the snapshot
-            with pytest.warns(RuntimeWarning, match="falling back to one-shot"):
-                out = pool.map(lambda x: k * x, [1, 2, 3])
-        assert out == [7, 14, 21]
-        assert pool.fallback_maps == 1
+            with pytest.raises(RuntimeError, match="already forked"):
+                pool.map(lambda x: k * x, [1, 2, 3])
+            # module-level functions still ship by reference after the fork
+            assert pool.map(_double, [4]) == [8]
 
     def test_closed_pool_rejects_use(self):
         pool = WorkerPool(2)
@@ -208,7 +211,7 @@ class TestWorkerPool:
 
     def test_thread_fallback_matches_fork_results(self, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(pool_module, "_THREAD_FALLBACK_WARNED", False)
         rec = TraceRecorder()
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
             with recording(rec), WorkerPool(3) as pool:
@@ -220,13 +223,13 @@ class TestWorkerPool:
         assert dispatches[0].payload_bytes == 0  # threads never pickle
 
     def test_pool_inside_pool_worker_degrades_serially(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
-        monkeypatch.setattr(parallel_module, "_NESTED_WARNED", True)
-        before = parallel_module.nested_serial_calls
+        monkeypatch.setattr(pool_module, "_IN_POOL_WORKER", True)
+        monkeypatch.setattr(pool_module, "_NESTED_WARNED", True)
+        before = pool_module.nested_serial_calls
         with WorkerPool(4) as pool:
             assert pool.mode == "serial"
             assert pool.map(_double, [1, 2]) == [2, 4]
-        assert parallel_module.nested_serial_calls == before + 1
+        assert pool_module.nested_serial_calls == before + 1
 
 
 class TestPoolSupervision:
@@ -234,12 +237,16 @@ class TestPoolSupervision:
     it: results stay payload-order correct through respawn and the serial
     last resort, and every recovery is recorded."""
 
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "RESPAWN_BACKOFF_S", 0.0)
+
     def test_transient_worker_death_respawns_and_results_correct(self, tmp_path):
         marker = str(tmp_path / "died-once")
         payloads = [(i, marker) for i in range(6)]
         rec = TraceRecorder()
         with recording(rec):
-            with WorkerPool(2, respawn_backoff_s=0.0) as pool:
+            with WorkerPool(2) as pool:
                 out = pool.map(_die_until_marker, payloads)
         assert out == [2 * i for i in range(6)]
         assert pool.respawns >= 1
@@ -251,28 +258,30 @@ class TestPoolSupervision:
         assert recoveries[0].serial_replay is False
         assert no_leaked_children()
 
-    def test_permanent_crash_exhausts_budget_then_serial_replay(self):
+    def test_permanent_crash_exhausts_budget_then_serial_replay(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "MAX_RESPAWNS", 1)
         rec = TraceRecorder()
         with recording(rec):
-            with WorkerPool(2, max_respawns=1, respawn_backoff_s=0.0) as pool:
+            with WorkerPool(2) as pool:
                 out = pool.map(_die_always, range(5))
                 # the budget is spent: later maps run serially, deterministically
                 again = pool.map(_die_always, range(5))
         assert out == [2 * i for i in range(5)]
         assert again == out
-        assert pool.respawns == 1  # bounded by max_respawns
+        assert pool.respawns == 1  # bounded by MAX_RESPAWNS
         recoveries = [e for e in rec.events if isinstance(e, PoolRecovery)]
         assert [r.respawned for r in recoveries] == [True, False]
         assert recoveries[-1].serial_replay is True
         assert no_leaked_children()
 
-    def test_dispatch_deadline_hits_and_serial_replay(self):
+    def test_dispatch_deadline_hits_and_serial_replay(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_RESPAWNS", 0)
+        monkeypatch.setenv("REPRO_POOL_DEADLINE", "0.3")
         rec = TraceRecorder()
         with recording(rec):
-            with WorkerPool(
-                2, dispatch_deadline_s=0.3, max_respawns=0,
-                respawn_backoff_s=0.0,
-            ) as pool:
+            with WorkerPool(2) as pool:
                 out = pool.map(_hang_in_worker, range(4))
         assert out == [2 * i for i in range(4)]
         assert pool.deadline_hits == 1
@@ -281,13 +290,12 @@ class TestPoolSupervision:
         assert recoveries[0].serial_replay is True
         assert no_leaked_children()
 
-    def test_collector_exports_supervision_counters(self):
+    def test_collector_exports_supervision_counters(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_RESPAWNS", 0)
+        monkeypatch.setenv("REPRO_POOL_DEADLINE", "0.3")
         collector = RunCollector()
         with recording(collector):
-            with WorkerPool(
-                2, dispatch_deadline_s=0.3, max_respawns=0,
-                respawn_backoff_s=0.0,
-            ) as pool:
+            with WorkerPool(2) as pool:
                 assert pool.map(_hang_in_worker, [1, 2]) == [2, 4]
         summary = collector.summary()
         assert summary["pool_deadline_hits"] == 1
@@ -295,17 +303,19 @@ class TestPoolSupervision:
         assert no_leaked_children()
 
     def test_deadline_validation_and_env_default(self, monkeypatch):
-        with pytest.raises(ValueError, match="dispatch_deadline_s"):
-            WorkerPool(2, dispatch_deadline_s=0.0)
-        monkeypatch.setenv("REPRO_POOL_DEADLINE", "2.5")
+        monkeypatch.delenv("REPRO_POOL_DEADLINE", raising=False)
+        assert WorkerPool(2)._deadline_s is None
+        monkeypatch.setenv("REPRO_POOL_DEADLINE", " 2.5 ")
         assert WorkerPool(2)._deadline_s == 2.5
-        for bad in ("", "  ", "soon", "-1", "0"):
-            monkeypatch.setenv("REPRO_POOL_DEADLINE", bad)
+        for unset in ("", "  "):
+            monkeypatch.setenv("REPRO_POOL_DEADLINE", unset)
             assert WorkerPool(2)._deadline_s is None
-        monkeypatch.delenv("REPRO_POOL_DEADLINE")
-        # an explicit constructor deadline beats the environment
-        monkeypatch.setenv("REPRO_POOL_DEADLINE", "9")
-        assert WorkerPool(2, dispatch_deadline_s=1.0)._deadline_s == 1.0
+        # a deadline that cannot be honoured fails loudly, never silently
+        # disabling the hang guard
+        for bad in ("soon", "-1", "0", "nan"):
+            monkeypatch.setenv("REPRO_POOL_DEADLINE", bad)
+            with pytest.raises(ValueError, match="REPRO_POOL_DEADLINE"):
+                WorkerPool(2)
 
     def test_close_safe_after_failed_start(self, monkeypatch):
         pool = WorkerPool(2)
@@ -323,18 +333,24 @@ class TestPoolSupervision:
         assert no_leaked_children()
 
 
-class TestNestedForkMap:
-    def test_nested_fork_map_counted_and_warned_once(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "_WORKER_FN", _double)
-        monkeypatch.setattr(parallel_module, "_NESTED_WARNED", False)
-        before = parallel_module.nested_serial_calls
+class TestNestedDispatch:
+    def test_nested_pool_counted_and_warned_once(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_IN_POOL_WORKER", True)
+        monkeypatch.setattr(pool_module, "_NESTED_WARNED", False)
+        before = pool_module.nested_serial_calls
         with pytest.warns(RuntimeWarning, match="nested parallel dispatch"):
-            assert fork_map(_double, [1, 2], 4) == [2, 4]
+            with WorkerPool(4) as pool:
+                assert pool.map(_double, [1, 2]) == [2, 4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # second occurrence stays quiet
-            assert fork_map(_double, [3], 4) == [6]
-            assert fork_map(_double, [4, 5], 4) == [8, 10]
-        assert parallel_module.nested_serial_calls == before + 2
+            with WorkerPool(4) as pool:
+                assert pool.map(_double, [3]) == [6]
+            with WorkerPool(4) as pool:
+                assert pool.map(_double, [4, 5]) == [8, 10]
+            # a serial pool is not a degradation: nothing counted
+            with WorkerPool(1) as pool:
+                assert pool.map(_double, [6]) == [12]
+        assert pool_module.nested_serial_calls == before + 3
 
 
 class TestShardedBitIdentity:
@@ -354,19 +370,9 @@ class TestShardedBitIdentity:
         assert pooled_metrics["pool_spawns"] == 1
         assert "pool_spawns" not in metrics  # serial records keep their shape
 
-    def test_legacy_fork_map_leg_matches_and_respawns(self, serial):
-        result, metrics = serial
-        legacy, legacy_metrics = run_scale(
-            ShardSpec(cells=CELLS, workers=2, pool=False)
-        )
-        assert legacy.slots == result.slots
-        assert strip_timing(legacy_metrics) == strip_timing(metrics)
-        # the cost the pool amortises: one spawn per parallel slot
-        assert legacy_metrics["pool_spawns"] == len(legacy.slots)
-
     def test_thread_mode_matches_serial(self, serial, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", True)
+        monkeypatch.setattr(pool_module, "_THREAD_FALLBACK_WARNED", True)
         result, _ = serial
         threaded, _ = run_scale(ShardSpec(cells=CELLS, workers=2), record=False)
         assert threaded.slots == result.slots
@@ -391,6 +397,92 @@ class TestShardedBitIdentity:
                 runtime.solve_slot(0, exploding_solver, as_rng(0), get_recorder())
         assert runtime._pool is None and runtime._solver is None
         assert no_leaked_children()
+
+
+def _slot_rows(result):
+    """A schedule's slots as ``==``-comparable rows, whichever driver."""
+    return [
+        {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(slot).items()
+        }
+        for slot in result.slots
+    ]
+
+
+class TestRefreshUnderLivePool:
+    """Confirmed permanent crashes refresh the partition mid-run; under a
+    forked pool the refresh respawns the workers so they fork the
+    refreshed cells.  The schedule must not notice."""
+
+    PLAN = FaultPlan(
+        reader_faults=tuple(PermanentCrash(r, 1) for r in (3, 17, 40)),
+        miss_rate=0.1,
+        seed=SEED,
+    )
+
+    def _run(self, driver, workers):
+        spec = ShardSpec(cells=CELLS, workers=workers)
+        collector = RunCollector()
+        with recording(collector):
+            if driver == "array":
+                result = run_scale_schedule(
+                    DEPLOYMENT, spec, solver="ghc", seed=SEED,
+                    max_slots=MAX_SLOTS, faults=self.PLAN,
+                )
+            else:
+                result = greedy_covering_schedule(
+                    build_system(*DEPLOYMENT.materialize()),
+                    get_solver("ghc"), seed=SEED, max_slots=MAX_SLOTS,
+                    incremental=True, faults=self.PLAN, shard=spec,
+                )
+        return result, collector.summary()
+
+    @pytest.mark.parametrize("driver", ["array", "mcs"])
+    def test_refresh_respawns_pool_without_changing_schedule(
+        self, driver, monkeypatch
+    ):
+        refreshes = []
+        real_refresh = ShardRuntime.refresh
+
+        def counting_refresh(runtime, dead_ids):
+            refreshes.append(sorted(int(r) for r in dead_ids))
+            return real_refresh(runtime, dead_ids)
+
+        monkeypatch.setattr(ShardRuntime, "refresh", counting_refresh)
+        serial, serial_sum = self._run(driver, None)
+        pooled, pooled_sum = self._run(driver, 2)
+        # every crash is confirmed in the same slot: one refresh per run
+        assert refreshes == [[3, 17, 40], [3, 17, 40]]
+        assert _slot_rows(pooled) == _slot_rows(serial)
+        assert pooled.tags_read_total == serial.tags_read_total
+        assert getattr(pooled, "fault_trace", None) == getattr(
+            serial, "fault_trace", None
+        )
+        assert strip_timing(pooled_sum) == strip_timing(serial_sum)
+        # the initial spawn plus one respawn for the refresh
+        assert pooled_sum["pool_spawns"] == 2
+        assert no_leaked_children()
+
+
+def test_only_the_pool_starts_processes_or_threads():
+    """One dispatch mechanism: no other module under src/ imports the
+    stdlib process- or thread-pool machinery."""
+    src = Path(pool_module.__file__).resolve().parents[2]
+    banned = {"multiprocessing", "concurrent"}
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] in banned for n in names):
+                offenders.append(str(path.relative_to(src)))
+    assert sorted(set(offenders)) == ["repro/perf/pool.py"]
 
 
 class TestReproWorkersEnv:

@@ -19,7 +19,7 @@ from repro.core import get_solver, greedy_covering_schedule
 from repro.faults import FaultPlan, FaultPolicy, PermanentCrash
 from repro.model.system import build_system
 from repro.perf import pool as pool_module
-from repro.perf.parallel import in_pool_worker
+from repro.perf.pool import in_pool_worker
 from repro.obs.export import REQUIRED_METRICS, load_bench, validate_run
 from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 from repro.shard.bench import (

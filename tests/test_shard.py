@@ -24,6 +24,7 @@ from repro.shard import (
     ShardSpec,
     interaction_radius,
 )
+from tests.conftest import POOL_COUNTERS
 
 #: Metric fields that vary run to run by construction: wall-clock noise,
 #: plus the parallel-tier dispatch counters (present only on parallel runs
@@ -35,14 +36,8 @@ TIMING = (
     "stage_seconds_by_name",
     "peak_tracemalloc_kb",
     "peak_rss_kb",
-    "pool_spawns",
-    "pool_tasks",
-    "pool_payload_bytes",
-    "pool_respawns",
-    "pool_deadline_hits",
-    "relay_dropped_events",
     "histograms",
-)
+) + POOL_COUNTERS
 
 
 def strip_timing(summary):
@@ -311,15 +306,9 @@ class TestShardFaultComposition:
 
         serial, serial_sum = run(workers=1)
         pooled, pooled_sum = run(workers=3)
-        forked, forked_sum = run(workers=3, pool=False)
         assert_same_schedule(serial, pooled)
-        assert_same_schedule(serial, forked)
-        assert serial.fault_trace == pooled.fault_trace == forked.fault_trace
-        assert (
-            strip_timing(serial_sum)
-            == strip_timing(pooled_sum)
-            == strip_timing(forked_sum)
-        )
+        assert serial.fault_trace == pooled.fault_trace
+        assert strip_timing(serial_sum) == strip_timing(pooled_sum)
 
     def test_trivial_partition_matches_unsharded_fault_path(
         self, medium_system, flaky_plan
