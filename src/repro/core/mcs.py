@@ -1,4 +1,5 @@
-"""Greedy covering-schedule driver (Section III, Definitions 4–5).
+"""Greedy covering-schedule driver over a dense system (Section III,
+Definitions 4–5).
 
 The backbone of the paper's scheduling scheme: at every time-slot pick a
 (near-)maximum weighted feasible scheduling set via the plugged-in one-shot
@@ -6,15 +7,20 @@ solver, serve its well-covered tags, retire them, repeat until no unread
 *coverable* tag remains.  Theorem 1: with an exact MWFS per slot this greedy
 loop is a ``log n``-approximation of the minimum covering schedule.
 
+The loop itself is :func:`repro.core.slotloop.run_slots`, shared with the
+array-first scale driver; this module supplies its dense *world* — an
+:class:`~repro.model.system.RFIDSystem` and its :class:`ReadState` — and
+the adapter :func:`greedy_covering_schedule`.
+
 Tags outside every interrogation region (outside the monitored region M of
 Definition 4) can never be read by any schedule; they are reported in
 ``uncovered_tags`` and do not block termination.
 
 Termination is guaranteed: any unread coverable tag admits a positive-weight
-singleton set, so if the solver returns a zero-weight set while coverable
-tags remain (heuristics can), the driver activates the best singleton
-instead — this never changes what an exact solver would do and keeps every
-heuristic comparable on the same footing.
+singleton set, so if the solver returns a set that reads nothing while
+coverable tags remain (heuristics can), the loop activates the best
+singleton instead — this never changes what an exact solver would do and
+keeps every heuristic comparable on the same footing.
 
 ``read_mode``:
     ``"all"``    — a slot serves every well-covered tag of its active set
@@ -22,29 +28,25 @@ heuristic comparable on the same footing.
     ``"single"`` — each operational reader serves at most one tag per slot
                    (the strict "able to read at least one tag" slot sizing).
 
-Fault tolerance (``docs/robustness.md``): passing ``faults=FaultPlan(...)``
-(and optionally ``policy=FaultPolicy(...)``) hardens the loop against the
-non-ideal world — reader crashes and flaky activations applied at the slot
-boundary, false-negative reads retried via ACK-based retirement, heartbeat
-suspicion excluding down readers from candidate sets, per-slot solver
-deadlines degrading to cheaper policies instead of stalling, and a stall
-guard terminating with :attr:`ScheduleOutcome.stalled` when no progress is
-possible.  With ``faults=None`` the loop is bit-identical to the historical
-default path.
+Fault tolerance (``docs/robustness.md``): ``faults=FaultPlan(...)`` (and
+optionally ``policy=FaultPolicy(...)``) wraps the loop in
+:class:`~repro.core.slotloop.SlotFaults` — crashes and flaky activations at
+the slot boundary, ACK-based retirement, heartbeat suspicion, the stall
+guard — and the dense world adds the suspicion-reduced candidate system and
+the solver-deadline degradation ladder.  With ``faults=None`` the loop is
+bit-identical to the historical default path.
 
-Faults compose with the scale tier: passing both ``faults=`` and ``shard=``
-runs the fault world through the sharded engine — per-cell degraded
-subsystems over unsuspected readers, suspicion masks shipped inside the
-deterministic per-cell payloads (worker count still cannot change results),
-and confirmed permanent crashes applied as an incremental partition refresh
-(``shard.refresh`` span) that re-buckets orphaned tags and rebuilds only
-the dirtied cells.  Trivial partitions route through the unsharded fault
-branch, keeping ``cells == 1`` bit-identical to ``shard=None``.
+Sharding (``docs/scale.md``): a non-trivial ``shard=`` partition makes the
+world propose through a :class:`~repro.shard.runtime.ShardRuntime`
+(per-cell solves plus boundary reconciliation, suspicion masks inside the
+per-cell payloads, partition refresh on confirmed permanent crashes) while
+well-covered extraction, the singleton fallback and retirement stay on the
+full system.  A partition that collapses to one cell is dropped, so
+``cells == 1`` is the unsharded run.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -53,27 +55,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.oneshot import OneShotResult, OneShotSolver
-from repro.faults import FaultInjector, FaultPlan, FaultPolicy
+from repro.core.oneshot import OneShotSolver, get_solver
+from repro.core.slotloop import SlotFaults, run_slots
+from repro.faults import FaultPlan, FaultPolicy
 from repro.linklayer.session import InventoryResult, run_inventory_session
 from repro.model.collisions import rrc_blocked_tags, rtc_victims
 from repro.model.state import ReadState
 from repro.model.system import RFIDSystem, build_system
-from repro.obs.events import (
-    CollisionTally,
-    ReaderFailed,
-    ReadMissed,
-    ScheduleDegraded,
-    ScheduleDone,
-    SlotEnd,
-    SlotStart,
-    SolverDeadline,
-    StageTiming,
-    get_recorder,
-)
+from repro.obs.events import ScheduleDegraded, SolverDeadline, get_recorder
 from repro.obs.spans import span
 from repro.perf.backends import kernel_for
-from repro.perf.slotdelta import ScheduleContext
+from repro.perf.slotdelta import ScheduleContext, accepts_context
 from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
@@ -171,241 +163,246 @@ def _best_singleton(
     system: RFIDSystem,
     unread: np.ndarray,
     context: Optional[ScheduleContext] = None,
+    suspected: Optional[np.ndarray] = None,
 ) -> Optional[int]:
     """Reader covering the most unread tags, or None if nothing is covered.
     Popcounts over the packed coverage words replace the ``(m, n)`` mask
-    product; ties break to the lowest reader id, as before.  An incremental
-    context already maintains exactly these counts, so they are read off for
-    free.  The cold path goes through the ambient
+    product; ties break to the lowest reader id.  An incremental context
+    already maintains exactly these counts, so they are read off for free.
+    The cold path goes through the ambient
     :class:`~repro.perf.backends.WeightKernel` (both backends share the
-    same vectorised packed scan, so the counts are backend-invariant)."""
+    same vectorised packed scan, so the counts are backend-invariant).
+    *suspected* readers (heartbeat suspicion) are never chosen."""
     if context is not None:
         counts = context.remaining_counts
     else:
         counts = kernel_for(system).covered_counts(unread)
+    if suspected is not None:
+        counts = np.where(suspected, 0, counts)
     if counts.size == 0 or counts.max() == 0:
         return None
     return int(np.argmax(counts))
 
 
-class _FaultRuntime:
-    """Mutable per-schedule state of the fault-tolerant driver.
+class _Ladder:
+    """The fault policy's solver-deadline degradation ladder: primary →
+    optional ``fallback_solver`` → greedy singleton.  A solve slower than
+    its exponentially backed-off budget emits ``SolverDeadline``; after
+    ``deadline_retries`` consecutive misses the ladder steps one rung down
+    (``ScheduleDegraded``).  Late results are still used for their own
+    slot — only future slots solve cheaper."""
 
-    Owns the :class:`~repro.faults.FaultInjector` (the deterministic fault
-    world), heartbeat suspicion, the cached reduced candidate systems, and
-    the solver-deadline degradation ladder.  Lives entirely on the
-    ``faults is not None`` branch of :func:`greedy_covering_schedule`; the
-    default path never constructs one.
+    def __init__(self, solver: OneShotSolver, policy: FaultPolicy) -> None:
+        self.policy = policy
+        fb = policy.fallback_solver
+        # (rung, name reported in events)
+        self._rungs = [("primary", getattr(solver, "__name__", "primary"))]
+        if fb is not None:
+            name = fb if isinstance(fb, str) else getattr(fb, "__name__", "fallback")
+            self._rungs.append(("fallback", name))
+        self._rungs.append(("singleton", "singleton"))
+        self._level = 0
+        self._misses = 0
+        self._fallback: Optional[OneShotSolver] = None
+
+    @property
+    def rung(self) -> str:
+        """The current rung: ``primary``, ``fallback`` or ``singleton``."""
+        return self._rungs[self._level][0]
+
+    def fallback(self) -> OneShotSolver:
+        """The fallback solver, resolved from the registry on first use."""
+        if self._fallback is None:
+            fb = self.policy.fallback_solver
+            if not callable(fb):
+                fb = get_solver(fb)
+            self._fallback = fb
+        return self._fallback
+
+    def note(self, slot: int, seconds: float, rec) -> None:
+        """Check one solve's *seconds* against the current budget."""
+        deadline = self.policy.solver_deadline_s
+        if deadline is None:
+            return
+        budget = deadline * (self.policy.backoff_factor ** self._misses)
+        if seconds <= budget:
+            self._misses = 0
+            return
+        name = self._rungs[self._level][1]
+        if rec.enabled:
+            rec.emit(
+                SolverDeadline(
+                    slot=slot, solver=name, seconds=float(seconds),
+                    budget_s=float(budget),
+                )
+            )
+        self._misses += 1
+        if (
+            self._misses > self.policy.deadline_retries
+            and self._level < len(self._rungs) - 1
+        ):
+            self._level += 1
+            self._misses = 0
+            if rec.enabled:
+                rec.emit(
+                    ScheduleDegraded(
+                        slot=slot, from_policy=name,
+                        to_policy=self._rungs[self._level][1],
+                    )
+                )
+
+
+class _DenseWorld:
+    """The slot loop's world over a dense :class:`RFIDSystem` (the world
+    interface is described in :mod:`repro.core.slotloop`).
+
+    Proposes through a direct solver call, the degradation *ladder* (fault
+    runs) or the *shard* runtime; verifies, falls back and retires on the
+    full system.  The slot's unread mask is computed once per slot.
     """
 
     def __init__(
         self,
         system: RFIDSystem,
-        faults: FaultPlan,
-        policy: FaultPolicy,
         solver: OneShotSolver,
+        state: ReadState,
+        coverable: np.ndarray,
+        read_mode: str,
+        linklayer: Optional[str],
+        incremental: bool,
+        shard: Optional[ShardRuntime],
+        ladder: Optional[_Ladder],
     ) -> None:
         self.system = system
-        self.policy = policy
-        self.injector = FaultInjector(faults, system.num_readers, system.num_tags)
-        self._consec = np.zeros(system.num_readers, dtype=np.int64)
-        self.suspected = np.zeros(system.num_readers, dtype=bool)
-        self._failed = np.zeros(system.num_readers, dtype=bool)
+        self.num_readers = system.num_readers
+        self.solver = solver
+        self.state = state
+        self.coverable = coverable
+        self.read_mode = read_mode
+        self.linklayer = linklayer
+        self.context: Optional[ScheduleContext] = None
+        self.takes_context = False
+        if incremental:
+            self.context = ScheduleContext(system, state.unread_mask & coverable)
+            self.takes_context = accepts_context(solver)
+        self.shard = shard
+        self.retired_readers = None if shard is None else shard.retired_readers
+        self.refresh = None if shard is None else shard.refresh
+        self.ladder = ladder
+        self.rec = get_recorder()
+        # reduced candidate systems over the unsuspected readers, keyed by
+        # suspicion pattern (fault runs only)
         self._subsystems: dict = {}
-        # degradation ladder: primary -> optional fallback -> singleton
-        self._ladder = ["primary"]
-        if policy.fallback_solver is not None:
-            self._ladder.append("fallback")
-        self._ladder.append("singleton")
-        self._level = 0
-        self._deadline_misses = 0
-        self._fallback: Optional[OneShotSolver] = None
-        fb = policy.fallback_solver
-        self._names = {
-            "primary": getattr(solver, "__name__", "primary"),
-            "fallback": fb if isinstance(fb, str)
-            else getattr(fb, "__name__", "fallback"),
-            "singleton": "singleton",
-        }
+        self._unread: Optional[np.ndarray] = None
 
-    # -- slot boundary -------------------------------------------------
-    def begin_slot(self, slot: int, rec) -> np.ndarray:
-        """Draw the slot's failure mask, advance heartbeat suspicion, emit
-        ``ReaderFailed`` on each rising edge; returns the failed mask."""
-        failed = self.injector.failed_mask(slot)
-        self._failed = failed
-        self._consec = np.where(failed, self._consec + 1, 0)
-        now = self._consec >= self.policy.heartbeat_timeout
-        if rec.enabled:
-            newly = now & ~self.suspected
-            if newly.any():
-                for r in np.flatnonzero(newly):
-                    rec.emit(
-                        ReaderFailed(
-                            slot=slot,
-                            reader=int(r),
-                            missed_heartbeats=int(self._consec[r]),
-                        )
-                    )
-        self.suspected = now
-        return failed
-
-    def drop_failed(self, active: np.ndarray) -> np.ndarray:
-        """Remove readers whose activation failed this slot (crash or flaky
-        activation) from the proposed active set."""
-        active = np.asarray(active, dtype=np.int64)
-        if active.size == 0:
-            return active
-        return active[~self._failed[active]]
-
-    # -- candidate view ------------------------------------------------
-    def candidate_view(self):
-        """The system the solver should see: the full system when nothing
-        is suspected, else a reduced system rebuilt over the live readers
-        (cached per suspicion pattern).  Returns ``(system, live_ids)``
-        where ``live_ids`` is ``None`` for the full system and the reduced
-        system is ``None`` when every reader is suspected."""
-        if not self.suspected.any():
-            return self.system, None
-        key = self.suspected.tobytes()
-        entry = self._subsystems.get(key)
-        if entry is None:
-            live = np.flatnonzero(~self.suspected)
-            if live.size == 0:
-                entry = (None, live)
-            else:
-                sub = build_system(
-                    self.system.reader_positions[live],
-                    self.system.interference_radii[live],
-                    self.system.interrogation_radii[live],
-                    self.system.tag_positions,
-                )
-                entry = (sub, live)
-            self._subsystems[key] = entry
-        return entry
-
-    def best_singleton(self, unread, context) -> Optional[int]:
-        """Suspicion-aware singleton: the live reader covering the most
-        unread tags, or None when no live reader covers anything."""
-        if context is not None:
-            counts = np.array(context.remaining_counts, dtype=np.int64, copy=True)
-        else:
-            counts = np.asarray(
-                kernel_for(self.system).covered_counts(unread), dtype=np.int64
-            ).copy()
-        if counts.size == 0:
-            return None
-        counts[self.suspected] = 0
-        if counts.max() == 0:
-            return None
-        return int(np.argmax(counts))
-
-    def confirmed_permanent(
-        self, slot: int, exclude: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Ids of readers both heartbeat-*suspected* and inside a begun
-        :class:`~repro.faults.plan.PermanentCrash` — membership changes the
-        sharded driver may commit to a partition refresh.  *exclude* masks
-        readers an earlier refresh already retired."""
-        mask = self.injector.permanent_down_mask(slot) & self.suspected
-        if exclude is not None:
-            mask = mask & ~np.asarray(exclude, dtype=bool)
-        return np.flatnonzero(mask)
-
-    # -- degradation ladder --------------------------------------------
     @property
-    def use_singleton(self) -> bool:
-        """True once the ladder has degraded to the greedy-singleton rung."""
-        return self._ladder[self._level] == "singleton"
-
-    def _resolve_fallback(self) -> OneShotSolver:
-        if self._fallback is None:
-            fb = self.policy.fallback_solver
-            if callable(fb):
-                self._fallback = fb
-            else:
-                from repro.core.oneshot import get_solver
-
-                self._fallback = get_solver(fb)
-        return self._fallback
-
-    def note_solver_time(self, slot: int, seconds: float, rec) -> None:
-        """Check *seconds* against the current exponential-backoff budget;
-        on a miss emit ``SolverDeadline``, and after ``deadline_retries``
-        consecutive misses step one rung down the ladder (emitting
-        ``ScheduleDegraded``).  Late results are still used for their own
-        slot — only future slots solve cheaper."""
-        deadline = self.policy.solver_deadline_s
-        if deadline is None:
-            return
-        budget = deadline * (self.policy.backoff_factor ** self._deadline_misses)
-        if seconds <= budget:
-            self._deadline_misses = 0
-            return
-        if rec.enabled:
-            rec.emit(
-                SolverDeadline(
-                    slot=slot,
-                    solver=self._names[self._ladder[self._level]],
-                    seconds=float(seconds),
-                    budget_s=float(budget),
-                )
+    def unread(self) -> np.ndarray:
+        """This slot's coverable unread mask."""
+        if self._unread is None:
+            self._unread = (
+                self.context.unread if self.context is not None
+                else self.state.unread_mask & self.coverable
             )
-        self._deadline_misses += 1
-        if (
-            self._deadline_misses > self.policy.deadline_retries
-            and self._level < len(self._ladder) - 1
-        ):
-            frm = self._ladder[self._level]
-            self._level += 1
-            self._deadline_misses = 0
-            if rec.enabled:
-                rec.emit(
-                    ScheduleDegraded(
-                        slot=slot,
-                        from_policy=self._names[frm],
-                        to_policy=self._names[self._ladder[self._level]],
-                    )
-                )
+        return self._unread
 
-    # -- slot solve ----------------------------------------------------
-    def propose_active(
-        self,
-        slot: int,
-        solver: OneShotSolver,
-        takes_context: bool,
-        unread: np.ndarray,
-        rng,
-        context,
-        rec,
-    ):
-        """One fault-aware solve: pick the active set for *slot* through the
-        current ladder rung over the live candidate view.  Returns
-        ``(active, meta)`` with ``active`` in full-system reader ids."""
-        if self.use_singleton:
-            best = self.best_singleton(unread, context)
-            if best is None:
-                return np.empty(0, dtype=np.int64), {"solver": "singleton"}
-            return (
-                np.asarray([best], dtype=np.int64),
-                {"solver": "singleton"},
+    @property
+    def num_unread(self) -> int:
+        if self.shard is not None:
+            return self.shard.num_unread
+        if self.context is not None:
+            return self.context.num_unread
+        return int(np.count_nonzero(self.unread))
+
+    @property
+    def complete(self) -> bool:
+        return not bool((self.state.unread_mask & self.coverable).any())
+
+    def _candidates(self, suspected):
+        """``(system, live_ids)`` the solver should see: the full system
+        (``live_ids`` None) when nothing is suspected, else a reduced
+        system over the live readers (``None`` when every reader is
+        suspected)."""
+        if suspected is None or not suspected.any():
+            return self.system, None
+        key = suspected.tobytes()
+        if key not in self._subsystems:
+            live = np.flatnonzero(~suspected)
+            s = self.system
+            self._subsystems[key] = (
+                build_system(
+                    s.reader_positions[live], s.interference_radii[live],
+                    s.interrogation_radii[live], s.tag_positions,
+                ) if live.size else None,
+                live,
             )
-        solve_sys, live = self.candidate_view()
-        if solve_sys is None:  # every reader currently suspected
+        return self._subsystems[key]
+
+    def propose(self, slot: int, rng, suspected) -> Tuple[np.ndarray, dict]:
+        if self.shard is not None:
+            return self.shard.solve_slot(
+                slot, self.solver, rng, self.rec, suspected=suspected
+            )
+        rung = "primary" if self.ladder is None else self.ladder.rung
+        if rung == "singleton":
+            best = self.singleton(suspected)
+            active = [] if best is None else [best]
+            return np.asarray(active, dtype=np.int64), {"solver": "singleton"}
+        system, live = self._candidates(suspected)
+        if system is None:  # every reader currently suspected
             return np.empty(0, dtype=np.int64), {"solver": "none"}
-        rung = self._ladder[self._level]
-        lsolver = solver if rung == "primary" else self._resolve_fallback()
+        solver, kwargs = self.solver, {}
+        if rung == "fallback":
+            solver = self.ladder.fallback()
+        elif self.takes_context and live is None:
+            kwargs["context"] = self.context
         t0 = time.perf_counter()
-        if rung == "primary" and takes_context and live is None:
-            result = lsolver(solve_sys, unread, rng, context=context)
-        else:
-            result = lsolver(solve_sys, unread, rng)
-        self.note_solver_time(slot, time.perf_counter() - t0, rec)
-        active = result.active if live is None else live[result.active]
+        result = solver(system, self.unread, rng, **kwargs)
+        if self.ladder is not None:
+            self.ladder.note(slot, time.perf_counter() - t0, self.rec)
+        active = np.asarray(result.active, dtype=np.int64)
         meta = dict(result.meta)
         if rung != "primary":
             meta["ladder"] = rung
-        return np.asarray(active, dtype=np.int64), meta
+        return (active if live is None else live[active]), meta
+
+    def verify(self, active: np.ndarray) -> np.ndarray:
+        well = self.system.well_covered_tags(active, self.unread)
+        if self.read_mode == "single" and len(well):
+            # keep each operational reader's first (lowest-id) tag
+            cov = self.system.coverage[np.ix_(well, active)]
+            owner = active[np.argmax(cov, axis=1)]
+            well = well[np.sort(np.unique(owner, return_index=True)[1])]
+        return well
+
+    def singleton(self, suspected) -> Optional[int]:
+        return _best_singleton(self.system, self.unread, self.context, suspected)
+
+    def collisions(self, active: np.ndarray) -> Tuple[int, int]:
+        return (
+            len(rrc_blocked_tags(self.system, active, self.unread)),
+            len(rtc_victims(self.system, active)),
+        )
+
+    def inventory(self, active, missed, rng) -> InventoryResult:
+        return run_inventory_session(
+            self.system, active, self.unread, protocol=self.linklayer,
+            seed=rng, miss_tags=missed,
+        )
+
+    def retire(self, confirmed: np.ndarray, active: np.ndarray) -> None:
+        self.state.mark_read(confirmed.tolist())
+        if self.context is not None:
+            self.context.retire_tags(confirmed)
+            self.context.note_active(active)
+        if self.shard is not None:
+            self.shard.retire(confirmed)
+        self._unread = None
+
+    def record(self, slot, active, well, confirmed, meta, inventory):
+        return SlotRecord(
+            slot=slot, active=active, tags_read=confirmed,
+            weight=int(len(well)), solver_meta=meta, inventory=inventory,
+        )
 
 
 def greedy_covering_schedule(
@@ -481,286 +478,61 @@ def greedy_covering_schedule(
         are unchanged.  Composes with ``faults``/``policy``: affected cells
         solve degraded subsystems over their unsuspected local readers, and
         confirmed permanent crashes trigger an incremental partition
-        refresh when ``policy.partition_refresh`` is on (``docs/scale.md``
-        and ``docs/robustness.md``).
+        refresh when ``policy.partition_refresh`` is on; the run stops as
+        ``stalled`` once the partition drains with tags no live reader
+        covers (``docs/scale.md`` and ``docs/robustness.md``).
     """
     if read_mode not in ("all", "single"):
         raise ValueError(f"read_mode must be 'all' or 'single', got {read_mode!r}")
     rng = as_rng(seed)
-    if policy is not None and faults is None:
-        faults = FaultPlan()
-    fault_rt: Optional[_FaultRuntime] = None
-    if faults is not None:
-        fault_rt = _FaultRuntime(
-            system, faults, policy if policy is not None else FaultPolicy(), solver
+    fault_layer = None
+    if faults is not None or policy is not None:
+        fault_layer = SlotFaults(
+            faults, policy, system.num_readers, system.num_tags
         )
-    stall_limit = max_stall_slots
-    if stall_limit is None and fault_rt is not None:
-        stall_limit = fault_rt.policy.max_stall_slots
     if state is None:
         state = ReadState(system.num_tags)
     coverable = system.covered_by_any()
     uncovered = np.flatnonzero(~coverable & state.unread_mask)
-    cap = max_slots if max_slots is not None else 4 * system.num_readers + 64
-
     shard_rt: Optional[ShardRuntime] = None
     if shard is not None:
-        shard_rt = ShardRuntime(
-            ShardPartition.from_system(system, shard),
-            initial_unread=state.unread_mask & coverable,
-            incremental=incremental,
-        )
-
-    context: Optional[ScheduleContext] = None
-    solver_takes_context = False
-    if incremental:
-        context = ScheduleContext(system, state.unread_mask & coverable)
-    if incremental or shard is not None:
-        try:
-            solver_takes_context = (
-                "context" in inspect.signature(solver).parameters
+        partition = ShardPartition.from_system(system, shard)
+        if not partition.is_trivial:
+            shard_rt = ShardRuntime(
+                partition,
+                initial_unread=state.unread_mask & coverable,
+                incremental=incremental,
             )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            solver_takes_context = False
-
-    rec = get_recorder()
-    slots: List[SlotRecord] = []
-    total_read = 0
-    stall_run = 0
-    # combined tier: fault world executed through the sharded engine; a
-    # trivial partition instead routes through the unsharded fault branch
-    # below, keeping cells == 1 bit-identical to shard=None
-    shard_fault = (
-        fault_rt is not None
-        and shard_rt is not None
-        and not shard_rt.partition.is_trivial
+    ladder = None
+    if fault_layer is not None and shard_rt is None:
+        ladder = _Ladder(solver, fault_layer.policy)
+    world = _DenseWorld(
+        system, solver, state, coverable, read_mode, linklayer, incremental,
+        shard_rt, ladder,
     )
-    outcome: Optional[ScheduleOutcome] = None
-    # one persistent worker pool for every slot of a sharded run (serial at
-    # one worker, absent for trivial partitions; see ShardRuntime.pool_scope)
-    pool_cm = (
-        shard_rt.pool_scope(solver, solver_takes_context, rec)
+    # one persistent worker pool for every slot of a sharded run (serial
+    # at one worker; see ShardRuntime.pool_scope)
+    pool = (
+        shard_rt.pool_scope(solver, world.takes_context, world.rec)
         if shard_rt is not None
         else nullcontext()
     )
-    with pool_cm, span(
+    with pool, span(
         "mcs.run",
         solver=getattr(solver, "__name__", "solver"),
-        faults=fault_rt is not None,
+        faults=fault_layer is not None,
         incremental=incremental,
     ):
-        while len(slots) < cap:
-            if context is not None:
-                if context.num_unread == 0:
-                    break
-                unread = context.unread
-                unread_count = context.num_unread
-            else:
-                unread = state.unread_mask & coverable
-                if not unread.any():
-                    break
-                unread_count = None
-            with span("mcs.slot", slot=len(slots)):
-                if rec.enabled:
-                    if unread_count is None:
-                        unread_count = int(unread.sum())
-                    rec.emit(SlotStart(slot=len(slots), unread_tags=unread_count))
-                    t_stage = time.perf_counter()
-                with span("mcs.solve", slot=len(slots)):
-                    if fault_rt is not None:
-                        fault_rt.begin_slot(len(slots), rec)
-                        if shard_fault:
-                            if fault_rt.policy.partition_refresh:
-                                dead = fault_rt.confirmed_permanent(
-                                    len(slots),
-                                    exclude=shard_rt.retired_readers,
-                                )
-                                if len(dead):
-                                    with span(
-                                        "shard.refresh",
-                                        slot=len(slots),
-                                        readers=int(len(dead)),
-                                    ):
-                                        shard_rt.refresh(dead)
-                            active, solver_meta = shard_rt.solve_slot(
-                                len(slots), solver, rng, rec,
-                                takes_context=solver_takes_context,
-                                context=context, unread=unread,
-                                suspected=fault_rt.suspected,
-                            )
-                        else:
-                            active, solver_meta = fault_rt.propose_active(
-                                len(slots), solver, solver_takes_context,
-                                unread, rng, context, rec
-                            )
-                        active = fault_rt.drop_failed(active)
-                        well = system.well_covered_tags(active, unread)
-                        if len(well) == 0:
-                            # the chosen set reads nothing (all its readers
-                            # down, or the solver whiffed) — fall back to the
-                            # best live singleton; its activation may itself
-                            # fail, yielding a zero-progress slot bounded by
-                            # the stall guard.
-                            fb = fault_rt.best_singleton(unread, context)
-                            if fb is not None:
-                                active = fault_rt.drop_failed(
-                                    np.asarray([fb], dtype=np.int64)
-                                )
-                                well = system.well_covered_tags(active, unread)
-                            else:
-                                active = np.empty(0, dtype=np.int64)
-                    else:
-                        if shard_rt is not None:
-                            active, solver_meta = shard_rt.solve_slot(
-                                len(slots), solver, rng, rec,
-                                takes_context=solver_takes_context,
-                                context=context, unread=unread,
-                            )
-                        else:
-                            if solver_takes_context:
-                                result: OneShotResult = solver(
-                                    system, unread, rng, context=context
-                                )
-                            else:
-                                result = solver(system, unread, rng)
-                            active = result.active
-                            solver_meta = dict(result.meta)
-                        well = system.well_covered_tags(active, unread)
-                        if len(well) == 0:
-                            fallback = _best_singleton(system, unread, context)
-                            if fallback is None:
-                                break  # nothing coverable remains (cannot happen with unread.any())
-                            active = np.asarray([fallback], dtype=np.int64)
-                            well = system.well_covered_tags(active, unread)
-
-                    if read_mode == "single" and len(well):
-                        # keep at most one tag per operational reader
-                        cov = system.coverage[np.ix_(well, active)]
-                        owner = active[np.argmax(cov, axis=1)]
-                        keep = []
-                        seen = set()
-                        for t, rd in zip(well, owner):
-                            if int(rd) not in seen:
-                                seen.add(int(rd))
-                                keep.append(int(t))
-                        well = np.asarray(keep, dtype=np.int64)
-
-                if rec.enabled:
-                    rec.emit(
-                        StageTiming(
-                            slot=len(slots),
-                            stage="solve",
-                            seconds=time.perf_counter() - t_stage,
-                        )
-                    )
-                    t_stage = time.perf_counter()
-
-                if fault_rt is not None:
-                    missed = fault_rt.injector.missed_tags(len(slots), well)
-                    if rec.enabled and len(missed):
-                        rec.emit(
-                            ReadMissed(
-                                slot=len(slots), tags_missed=int(len(missed))
-                            )
-                        )
-                    confirmed = (
-                        well[~np.isin(well, missed)] if len(missed) else well
-                    )
-                else:
-                    confirmed = well
-
-                inventory = None
-                if linklayer is not None:
-                    with span("mcs.inventory", slot=len(slots)):
-                        if fault_rt is not None:
-                            inventory = run_inventory_session(
-                                system, active, unread, protocol=linklayer,
-                                seed=rng, miss_tags=missed,
-                            )
-                        else:
-                            inventory = run_inventory_session(
-                                system, active, unread, protocol=linklayer,
-                                seed=rng
-                            )
-                    if rec.enabled:
-                        rec.emit(
-                            StageTiming(
-                                slot=len(slots),
-                                stage="inventory",
-                                seconds=time.perf_counter() - t_stage,
-                            )
-                        )
-
-                if rec.enabled:
-                    rec.emit(
-                        CollisionTally(
-                            slot=len(slots),
-                            rrc_blocked=int(
-                                len(rrc_blocked_tags(system, active, unread))
-                            ),
-                            rtc_silenced=int(len(rtc_victims(system, active))),
-                        )
-                    )
-                    t_stage = time.perf_counter()
-
-                with span("mcs.retire", slot=len(slots)):
-                    state.mark_read(confirmed.tolist())
-                    if context is not None:
-                        context.retire_tags(confirmed)
-                        context.note_active(active)
-                    if shard_rt is not None:
-                        shard_rt.retire(confirmed)
-                if rec.enabled:
-                    rec.emit(
-                        StageTiming(
-                            slot=len(slots),
-                            stage="retire",
-                            seconds=time.perf_counter() - t_stage,
-                        )
-                    )
-                total_read += int(len(confirmed))
-                if rec.enabled:
-                    rec.emit(
-                        SlotEnd(
-                            slot=len(slots),
-                            tags_read=int(len(confirmed)),
-                            weight=int(len(well)),
-                            active_readers=int(len(active)),
-                        )
-                    )
-                slots.append(
-                    SlotRecord(
-                        slot=len(slots),
-                        active=active,
-                        tags_read=confirmed,
-                        weight=int(len(well)),
-                        solver_meta=solver_meta,
-                        inventory=inventory,
-                    )
-                )
-            if stall_limit is not None:
-                stall_run = stall_run + 1 if len(confirmed) == 0 else 0
-                if stall_run >= stall_limit:
-                    outcome = ScheduleOutcome.stalled
-                    break
-
-        remaining = state.unread_mask & coverable
-        complete = not bool(remaining.any())
-        if outcome is None:
-            outcome = (
-                ScheduleOutcome.complete if complete else ScheduleOutcome.exhausted
-            )
-        if rec.enabled:
-            rec.emit(
-                ScheduleDone(
-                    slots=len(slots), tags_read=total_read, complete=complete
-                )
-            )
+        slots, total_read, complete, outcome = run_slots(
+            world, rng, max_slots, fault_layer, max_stall_slots
+        )
     return ScheduleResult(
         slots=slots,
         tags_read_total=total_read,
         uncovered_tags=uncovered,
         complete=complete,
-        outcome=outcome,
-        fault_trace=fault_rt.injector.trace_fingerprint() if fault_rt else None,
+        outcome=ScheduleOutcome(outcome),
+        fault_trace=(
+            fault_layer.injector.trace_fingerprint() if fault_layer else None
+        ),
     )

@@ -179,10 +179,11 @@ class HeartbeatMonitor:
 
     A reader that fails ``heartbeat_timeout`` consecutive slots becomes
     *suspected* and should be excluded from candidate sets; suspicion lifts
-    the first slot the reader answers again.  This is the bookkeeping shared
-    by the fault-tolerant MCS driver and the sharded scale driver — pure
-    state over the injector's draws, no event emission (keeping this module
-    below the observability layer); callers emit
+    the first slot the reader answers again.  This is the only suspicion
+    bookkeeping — held by the slot loop's fault wrapper
+    (:class:`repro.core.slotloop.SlotFaults`) for both covering-schedule
+    drivers — pure state over the injector's draws, no event emission
+    (keeping this module below the observability layer); the wrapper emits
     :class:`~repro.obs.events.ReaderFailed` for the newly-suspected ids
     returned from :meth:`begin_slot`.
 

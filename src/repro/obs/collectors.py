@@ -54,7 +54,7 @@ class RunCollector(Recorder):
         Candidate-set evaluations keyed by search context
         (``"exact.bnb"``, ``"ptas.dp_cells"``, ``"localsearch.moves"``).
     stage_times:
-        :class:`Stopwatch` keyed by MCS driver stage (``"solve"`` /
+        :class:`Stopwatch` keyed by slot-loop stage (``"solve"`` /
         ``"inventory"`` / ``"retire"``) — the per-stage wall-clock breakdown
         behind ``rfid-sched bench --profile``.
     fault_counters:

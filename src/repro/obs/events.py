@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SlotStart:
-    """The MCS driver opens time-slot *slot* with *unread_tags* coverable
+    """The slot loop opens time-slot *slot* with *unread_tags* reachable
     unread tags remaining."""
 
     slot: int
@@ -127,8 +127,9 @@ class ScheduleDone:
 class StageTiming:
     """One driver stage of time-slot *slot* took *seconds* of wall-clock.
 
-    ``stage`` names the MCS driver phase: ``"solve"`` (one-shot solver call
-    plus well-covered extraction and the singleton fallback), ``"inventory"``
+    ``stage`` names the slot-loop phase: ``"solve"`` (fault bookkeeping, the
+    solver call, well-covered extraction and the singleton fallback),
+    ``"inventory"``
     (link-layer session, only when one is simulated) or ``"retire"``
     (marking served tags read and updating the incremental schedule
     context).
@@ -141,7 +142,7 @@ class StageTiming:
 
 @dataclass(frozen=True)
 class ReaderFailed:
-    """The fault-tolerant MCS driver suspected reader *reader* at slot
+    """The slot loop's fault wrapper suspected reader *reader* at slot
     *slot* after *missed_heartbeats* consecutive missed heartbeats; the
     reader is excluded from candidate sets until it answers again."""
 

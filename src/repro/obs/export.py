@@ -65,7 +65,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "solver_calls": "one-shot solver invocations (SolverCall count)",
     "solver_wall_clock_s": "total solver wall-clock, seconds",
     "solver_seconds_by_name": "solver wall-clock split by solver name",
-    "stage_seconds_by_name": "MCS driver wall-clock split by stage (solve/inventory/retire, plus pool.dispatch/pool.collect when the parallel tier dispatched)",
+    "stage_seconds_by_name": "covering-schedule wall-clock split by slot-loop stage (solve/inventory/retire) for the MCS and array-first scale drivers, plus pool.dispatch/pool.collect when the parallel tier dispatched",
     "sets_evaluated": "candidate scheduling sets scored by search routines",
     "sets_per_slot": "candidate sets evaluated while each slot was open",
     "sets_by_context": "sets_evaluated split by search context",

@@ -50,14 +50,15 @@ from repro.obs.events import SpanEnd, SpanStart, get_recorder
 SPAN_NAMES: Dict[str, str] = {
     "mcs.run": "one whole covering-schedule run of the MCS driver "
     "(core.mcs.greedy_covering_schedule), fault-tolerant or not",
-    "mcs.slot": "one time-slot of the MCS driver; fault events of the slot "
-    "nest under it",
-    "mcs.solve": "the slot's solve stage: fault bookkeeping, the one-shot "
-    "solver call, well-covered extraction and the singleton fallback",
+    "mcs.slot": "one time-slot of the slot loop (core.slotloop.run_slots, "
+    "both covering-schedule drivers); fault events of the slot nest under it",
+    "mcs.solve": "the slot's solve stage: fault bookkeeping and partition "
+    "refresh, the one-shot solver call, well-covered extraction and the "
+    "singleton fallback",
     "mcs.inventory": "the slot's link-layer inventory stage (only when a "
     "link layer is simulated)",
     "mcs.retire": "the slot's retirement stage: marking served tags read "
-    "and updating the incremental schedule context",
+    "and updating the incremental and per-cell schedule contexts",
     "solver.call": "one registry-wrapped one-shot solver invocation "
     "(core.oneshot.get_solver wrapper)",
     "linklayer.session": "one slot's link-layer arbitration "

@@ -31,9 +31,20 @@ it sits below :mod:`repro.model`.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, List, Optional
 
 import numpy as np
+
+
+def accepts_context(solver) -> bool:
+    """Whether *solver* takes the ``context`` keyword a driver threads a
+    :class:`ScheduleContext` through (``False`` for callables without an
+    inspectable signature)."""
+    try:
+        return "context" in inspect.signature(solver).parameters
+    except (TypeError, ValueError):  # builtins / exotic callables
+        return False
 
 
 class ScheduleContext:

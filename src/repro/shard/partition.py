@@ -123,21 +123,22 @@ class ShardPartition:
     """A sharded view of a deployment: cells, halos and ownership maps.
 
     Build via :meth:`from_system` (keeps a handle to the original
-    :class:`~repro.model.system.RFIDSystem` for the trivial fast path) or
+    :class:`~repro.model.system.RFIDSystem`) or
     :meth:`from_arrays` (array-first; the 10⁴-reader scale path never
     materialises a global system).
 
     Attributes
     ----------
     cells:
-        :class:`ShardCell` list; ``cells[i].index == i``.
+        :class:`ShardCell` list; ``cells[i].index == i``.  Empty for a
+        trivial partition.
     cell_of_reader:
         ``(n,)`` owner cell index per reader.
     owner_of_tag:
         ``(m,)`` owner cell index per tag, ``-1`` for uncoverable tags.
     is_trivial:
-        True when the deployment collapses to at most one cell; the sharded
-        driver then short-circuits to a direct full-system solve.
+        True when the deployment collapses to at most one cell; the drivers
+        then run unsharded.
     """
 
     def __init__(
@@ -160,8 +161,8 @@ class ShardPartition:
         self.owner_of_tag = owner_of_tag
         self.reader_positions = reader_positions
         self.interference_radii = interference_radii
-        #: The original full system (trivial partitions require it; the
-        #: array-first scale path leaves it None on non-trivial partitions).
+        #: The original full system (None when built by the array-first
+        #: scale path).
         self.system = system
         #: Alive mask over readers; cleared by :meth:`retire_readers`.
         self.reader_alive = np.ones(len(reader_positions), dtype=bool)
@@ -215,9 +216,7 @@ class ShardPartition:
     ) -> "ShardPartition":
         """Partition a deployment given as raw arrays.
 
-        When *system* is provided it becomes the trivial partition's
-        subsystem (and is kept for the runtime's trivial fast path);
-        otherwise a trivial partition builds one from the arrays.
+        When *system* is provided it is kept as :attr:`system`.
         """
         rpos = as_points(reader_positions, "reader_positions")
         tpos = (
@@ -551,40 +550,19 @@ class ShardPartition:
         spec: ShardSpec,
         system: Optional[RFIDSystem],
     ) -> "ShardPartition":
-        """The one-cell partition: everything owned, no halo.  The runtime
-        short-circuits it to a direct full-system solve, so
-        ``owner_of_tag`` (all zeros) is never consulted for coverage."""
+        """The partition of a deployment that collapses to one cell.  It
+        holds no cell: the drivers run such a deployment unsharded."""
         n, m = len(rpos), len(tpos)
-        full = system if system is not None else build_system(rpos, R, gamma, tpos)
         side = interaction_radius(R, gamma)
         origin = rpos.min(axis=0) if n else np.zeros(2)
-        all_readers = np.arange(n, dtype=np.int64)
-        all_tags = np.arange(m, dtype=np.int64)
-        cell = ShardCell(
-            index=0,
-            key=(0, 0),
-            bounds=(
-                float(origin[0]),
-                float(origin[0] + max(side, 1.0)),
-                float(origin[1]),
-                float(origin[1] + max(side, 1.0)),
-            ),
-            reader_ids=all_readers,
-            halo_reader_ids=np.empty(0, dtype=np.int64),
-            all_reader_ids=all_readers,
-            tag_ids=all_tags,
-            owned_reader_mask=np.ones(n, dtype=bool),
-            owned_tag_mask=np.ones(m, dtype=bool),
-            subsystem=full,
-        )
         return cls(
             spec=spec,
             origin=origin,
             cell_side=float(max(side, 1.0)),
-            cells=[cell],
+            cells=[],
             cell_of_reader=np.zeros(n, dtype=np.int64),
             owner_of_tag=np.zeros(m, dtype=np.int64),
             reader_positions=rpos,
             interference_radii=R,
-            system=full,
+            system=system,
         )

@@ -25,10 +25,9 @@ Intra-cell feasibility is the cell solver's business and is left untouched
 — the driver's well-covered extraction (Definition 1 generalised) is
 computed on the full system afterwards, exactly as for unsharded solves.
 
-Trivial partitions (one cell) bypass all of this: the slot is solved by a
-direct full-system solver call with the driver's own rng and calling
-convention, making ``cells == 1`` bit-identical to the unsharded driver
-(certified by ``tests/test_shard.py`` and the paired BENCH_scale records).
+Trivial partitions (one cell) never get a runtime: the drivers run them
+unsharded, so ``cells == 1`` is bit-identical to no sharding (certified by
+``tests/test_shard.py`` and the paired BENCH_scale records).
 
 Fault composition (``docs/robustness.md``): when the driver runs a fault
 plan, :meth:`ShardRuntime.solve_slot` takes the global *suspected* mask and
@@ -99,27 +98,22 @@ class ShardRuntime:
     ):
         self.partition = partition
         self.incremental = incremental
-        self._contexts: Optional[List[ScheduleContext]] = None
         #: Readers retired by :meth:`refresh` (confirmed permanent crashes).
         self.retired_readers = np.zeros(
             len(partition.reader_positions), dtype=bool
         )
-        self._unread_global: Optional[np.ndarray] = None
-        if not partition.is_trivial:
-            m = len(partition.owner_of_tag)
-            unread_global = (
-                np.ones(m, dtype=bool)
-                if initial_unread is None
-                else np.asarray(initial_unread, dtype=bool).copy()
+        self._unread_global = (
+            np.ones(len(partition.owner_of_tag), dtype=bool)
+            if initial_unread is None
+            else np.asarray(initial_unread, dtype=bool).copy()
+        )
+        self._contexts: List[ScheduleContext] = [
+            ScheduleContext(
+                cell.subsystem,
+                cell.owned_tag_mask & self._unread_global[cell.tag_ids],
             )
-            self._unread_global = unread_global
-            contexts = []
-            for cell in partition.cells:
-                local_unread = cell.owned_tag_mask & unread_global[cell.tag_ids]
-                contexts.append(
-                    ScheduleContext(cell.subsystem, local_unread)
-                )
-            self._contexts = contexts
+            for cell in partition.cells
+        ]
         # per-run scratch inherited by forked workers (set by pool_scope)
         self._solver = None
         self._takes_context = False
@@ -135,15 +129,11 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     @property
     def num_unread(self) -> int:
-        """Unread owned tags summed over cells (non-trivial runtimes only)."""
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
+        """Unread owned tags summed over cells."""
         return sum(ctx.num_unread for ctx in self._contexts)
 
     def live_cells(self) -> List[int]:
         """Indices of cells with owned unread tags remaining, ascending."""
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
         return [
             i for i, ctx in enumerate(self._contexts) if ctx.num_unread > 0
         ]
@@ -163,12 +153,8 @@ class ShardRuntime:
         change state).  At one worker the pool is serial: it starts and
         emits nothing, and every cell is solved inline through the same
         map.  Exiting the scope — normally or through a solver exception —
-        terminates and joins the workers, so no child can leak.  Trivial
-        partitions hold no pool: their slots are direct full-system solves.
+        terminates and joins the workers, so no child can leak.
         """
-        if self.partition.is_trivial:
-            yield None
-            return
         self._solver = solver
         self._takes_context = takes_context
         self._collect = bool(rec.enabled)
@@ -214,26 +200,17 @@ class ShardRuntime:
     ) -> Tuple[np.ndarray, dict]:
         """Produce the slot's merged active set; returns ``(active, meta)``.
 
-        *rng* is the driver's stream: the trivial path hands it to the
-        solver exactly as the unsharded driver would (bit-identity), the
-        sharded path draws one child seed per live cell from it.  *rec* is
-        the driver's recorder; *solver*, *takes_context*, *context* and
-        *unread* are consumed only by the trivial path (sharded slots use
-        the solver bound by :meth:`pool_scope`, and cells carry their own
-        contexts).  *suspected* is the fault layer's global suspicion mask:
+        Runs inside :meth:`pool_scope`: the cells solve with the solver it
+        bound (the drivers pass that same *solver*) and with their own
+        contexts, so *takes_context*, *context* and *unread* — the unsharded
+        calling convention — are not consulted.  *rng* is the driver's
+        stream; one child seed per live cell is drawn from it.  *rec* is the
+        driver's recorder.  *suspected* is the fault layer's global suspicion mask:
         each affected cell then solves a degraded subsystem over its
         unsuspected local readers.  The mask travels in the per-cell
         payloads, so suspicion-aware solves stay a pure function of the
         payload and worker count cannot change results.
         """
-        if self.partition.is_trivial:
-            system = self.partition.system
-            if takes_context and context is not None:
-                result = solver(system, unread, rng, context=context)
-            else:
-                result = solver(system, unread, rng)
-            return np.asarray(result.active, dtype=np.int64), dict(result.meta)
-
         live = self.live_cells()
         # one child seed per live cell, from the driver's stream — worker
         # count never touches the rng, so parallelism cannot change results
@@ -426,11 +403,8 @@ class ShardRuntime:
         A tag is unread only in its owner cell (halo tags start read
         locally), so confirmed tags are bucketed by owner and each owner
         context retires its own — one searchsorted per live owner cell, not
-        per cell over the whole confirmed set.  No-op on trivial runtimes
-        (the driver's own state is authoritative there).
+        per cell over the whole confirmed set.
         """
-        if self._contexts is None:
-            return
         tags = np.asarray(confirmed, dtype=np.int64).ravel()
         if tags.size == 0:
             return
@@ -469,8 +443,6 @@ class ShardRuntime:
         stale snapshot.  Degraded-subsystem caches are cleared: a
         rebuilt cell's local id map changed.
         """
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not refresh")
         report = self.partition.retire_readers(dead_ids)
         if report.retired:
             self.retired_readers[list(report.retired)] = True
@@ -514,8 +486,6 @@ class ShardRuntime:
         suspected the fallback returns ``None`` and the slot makes no
         progress (bounded by the policy's stall guard).
         """
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
         best: Optional[Tuple[int, int]] = None
         for cell, ctx in zip(self.partition.cells, self._contexts):
             if ctx.num_unread == 0:

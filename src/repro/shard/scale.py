@@ -4,8 +4,8 @@ The MCS driver (:func:`repro.core.mcs.greedy_covering_schedule`) builds a
 full :class:`~repro.model.system.RFIDSystem` — dense coverage and conflict
 matrices — which is the right tool up to a few thousand readers.  The
 10⁴-reader / 10⁶-tag scale tier cannot afford ``n × n`` and ``m × n`` dense
-global state, so :func:`run_scale_schedule` runs the same greedy loop
-*sparsely*:
+global state, so :func:`run_scale_schedule` runs the same slot loop
+(:func:`repro.core.slotloop.run_slots`) over a *sparse world*:
 
 * the deployment is partitioned by :class:`~repro.shard.partition.
   ShardPartition` straight from coordinate/radius arrays — only the
@@ -13,7 +13,8 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   the interaction-radius sizing rule;
 * each slot's active set comes from :class:`~repro.shard.runtime.
   ShardRuntime` (cell solves plus boundary reconciliation), exactly as in
-  the sharded MCS driver;
+  the sharded MCS driver, and the singleton fallback is the runtime's best
+  owned reader;
 * the global well-covered verification (Definition 1) is computed sparsely:
   per-active-reader tag lookups through a
   :class:`~repro.geometry.grid.SpatialHashGrid` give exact coverage counts,
@@ -22,49 +23,28 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   :meth:`~repro.shard.runtime.ShardRuntime.retire` — one searchsorted per
   live owner cell, never a scan of the 10⁶-tag population per cell.
 
-The loop emits the standard driver events (``SlotStart`` / ``SlotEnd`` /
-``CollisionTally`` / ``ScheduleDone``), so a
-:class:`~repro.obs.collectors.RunCollector` aggregates a scale run exactly
-like an MCS run and ``BENCH_scale.json`` records validate against the
-ordinary schema (family ``scale``).
-
-Fault tolerance composes here too (``docs/robustness.md``): passing
-``faults=FaultPlan(...)`` runs the slot loop against the deterministic
-degraded world — heartbeat suspicion via
-:class:`~repro.faults.HeartbeatMonitor`, suspicion-aware cell solves and
-singleton fallbacks, ACK-based retirement of only the confirmed reads, a
-stall guard, and incremental partition refresh on confirmed permanent
-crashes (``policy.partition_refresh``).  With ``faults=None`` the loop is
-bit-identical to the fault-free scale driver.
+Because the loop is shared, a scale run emits the same driver events,
+stage timings and ``mcs.*`` spans as an MCS run, composes with
+``faults=FaultPlan(...)`` through the same fault wrapper
+(``docs/robustness.md``), and stops when the partition holds no unread
+tag a live reader covers.  ``BENCH_scale.json`` records validate against
+the ordinary schema (family ``scale``).
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.slotloop import SlotFaults, run_slots
 from repro.deployment.generators import uniform_deployment
 from repro.deployment.radii import sample_radii
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultPolicy,
-    HeartbeatMonitor,
-)
+from repro.faults import FaultPlan, FaultPolicy
 from repro.geometry.grid import SpatialHashGrid
-from repro.obs.events import (
-    CollisionTally,
-    ReaderFailed,
-    ReadMissed,
-    ScheduleDone,
-    SlotEnd,
-    SlotStart,
-    get_recorder,
-)
-from repro.obs.spans import span
+from repro.obs.events import get_recorder
+from repro.perf.slotdelta import accepts_context
 from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
@@ -147,53 +127,94 @@ class ScaleScheduleResult:
         return len(self.slots)
 
 
-def _slot_verification(
-    active: np.ndarray,
-    reader_positions: np.ndarray,
-    interference_radii: np.ndarray,
-    interrogation_radii: np.ndarray,
-    tag_grid: SpatialHashGrid,
-    unread: np.ndarray,
-    counts: np.ndarray,
-    owner: np.ndarray,
-) -> Tuple[np.ndarray, int, int]:
-    """Exact well-covered tags of *active* (Definition 1), sparsely.
+class _ArrayWorld:
+    """The slot loop's world over a partition, verified sparsely (the world
+    interface is described in :mod:`repro.core.slotloop`)."""
 
-    Uses per-active-reader grid lookups for coverage and a dense directed
-    RTc check over just the active set.  *counts*/*owner* are reusable
-    scratch arrays over the tag population; returns ``(well_covered_tags,
-    rrc_blocked, rtc_silenced)``.
-    """
-    k = int(len(active))
-    empty = np.empty(0, dtype=np.int64)
-    if k == 0:
-        return empty, 0, 0
-    pos = reader_positions[active]
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = (diff * diff).sum(axis=-1)
-    in_range = d2 <= interference_radii[active][None, :] ** 2
-    np.fill_diagonal(in_range, False)
-    suffering = in_range.any(axis=1)
+    linklayer = None
 
-    touched_parts: List[np.ndarray] = []
-    for i, a in enumerate(active):
-        hits = tag_grid.query_radius(
-            reader_positions[a], float(interrogation_radii[a])
+    def __init__(self, runtime: ShardRuntime, solver, arrays) -> None:
+        self.runtime = runtime
+        self.solver = solver
+        self.rec = get_recorder()
+        self.rpos, self.interference, self.interrogation, tpos = arrays
+        self.num_readers = len(self.rpos)
+        m = len(tpos)
+        self.unread = runtime.partition.owner_of_tag >= 0
+        self._counts = np.zeros(m, dtype=np.int32)
+        self._owner = np.zeros(m, dtype=np.int64)
+        self._grid = SpatialHashGrid(
+            tpos, cell_size=max(float(self.interrogation.max()), 1.0)
         )
-        if hits.size:
-            counts[hits] += 1
-            owner[hits] = i  # local index into the active set
-            touched_parts.append(hits)
-    if not touched_parts:
-        return empty, 0, int(suffering.sum())
-    touched = np.unique(np.concatenate(touched_parts))
-    t_counts = counts[touched]
-    t_unread = unread[touched]
-    once = t_unread & (t_counts == 1)
-    well = touched[once & ~suffering[owner[touched]]]
-    rrc = int((t_unread & (t_counts >= 2)).sum())
-    counts[touched] = 0  # reset scratch for the next slot
-    return well, rrc, int(suffering.sum())
+        self._tally = (0, 0)
+        self.retired_readers = runtime.retired_readers
+        self.refresh = runtime.refresh
+
+    @property
+    def num_unread(self) -> int:
+        return self.runtime.num_unread
+
+    @property
+    def complete(self) -> bool:
+        return not bool(self.unread.any())
+
+    def propose(self, slot: int, rng, suspected):
+        return self.runtime.solve_slot(
+            slot, self.solver, rng, self.rec, suspected=suspected
+        )
+
+    def verify(self, active: np.ndarray) -> np.ndarray:
+        """Exact well-covered tags of *active* (Definition 1), sparsely:
+        per-active-reader grid lookups for coverage, a dense directed RTc
+        check over just the active set.  Keeps the slot's collision
+        tallies for :meth:`collisions`."""
+        self._tally = (0, 0)
+        if not len(active):
+            return np.empty(0, dtype=np.int64)
+        pos = self.rpos[active]
+        diff = pos[:, None, :] - pos[None, :, :]
+        in_range = (diff * diff).sum(axis=-1) <= self.interference[active] ** 2
+        np.fill_diagonal(in_range, False)
+        suffering = in_range.any(axis=1)
+        counts, owner = self._counts, self._owner  # scratch over all tags
+        touched_parts: List[np.ndarray] = []
+        for i, a in enumerate(active):
+            hits = self._grid.query_radius(
+                self.rpos[a], float(self.interrogation[a])
+            )
+            if hits.size:
+                counts[hits] += 1
+                owner[hits] = i  # local index into the active set
+                touched_parts.append(hits)
+        rtc = int(suffering.sum())
+        self._tally = (0, rtc)
+        if not touched_parts:
+            return np.empty(0, dtype=np.int64)
+        touched = np.unique(np.concatenate(touched_parts))
+        t_counts = counts[touched]
+        t_unread = self.unread[touched]
+        counts[touched] = 0  # reset scratch for the next slot
+        well = touched[t_unread & (t_counts == 1) & ~suffering[owner[touched]]]
+        self._tally = (int((t_unread & (t_counts >= 2)).sum()), rtc)
+        return well
+
+    def singleton(self, suspected) -> Optional[int]:
+        return self.runtime.best_singleton(suspected=suspected)
+
+    def collisions(self, active: np.ndarray) -> Tuple[int, int]:
+        # the tallies of the last verify(), which saw exactly *active*
+        return self._tally
+
+    def retire(self, confirmed: np.ndarray, active: np.ndarray) -> None:
+        self.runtime.retire(confirmed)
+        self.unread[confirmed] = False
+
+    def record(self, slot, active, well, confirmed, meta, inventory):
+        return ScaleSlotRecord(
+            slot=slot, active_readers=int(len(active)),
+            tags_read=int(len(confirmed)), cells_solved=int(meta["cells_solved"]),
+            boundary_repairs=int(meta["boundary_repairs"]),
+        )
 
 
 def run_scale_schedule(
@@ -214,11 +235,11 @@ def run_scale_schedule(
     one cell belongs in :func:`repro.core.mcs.greedy_covering_schedule`,
     which this function refuses to duplicate.
 
-    Termination mirrors the MCS driver: a slot that would read nothing
+    Termination is the shared loop's: a slot that would read nothing
     activates the best owned singleton
     (:meth:`~repro.shard.runtime.ShardRuntime.best_singleton`), which
-    always makes positive progress, so the loop ends at full coverage or
-    the ``max_slots`` cap (default ``4·n + 64``).
+    always makes positive progress, so a fault-free run ends at full
+    coverage or the ``max_slots`` cap (default ``4·n + 64``).
 
     *faults* engages the deterministic fault world (see the module
     docstring): suspicion-aware solves and fallbacks, confirmed-only
@@ -227,178 +248,38 @@ def run_scale_schedule(
     ``policy.max_stall_slots``; a plan-less *policy* engages the fault
     path with an empty :class:`~repro.faults.FaultPlan`, as in the MCS
     driver).  A permanently crashed sole owner of a tag makes that tag
-    unreachable; the run then terminates with ``outcome="stalled"``.
+    unreachable; once the partition holds no other unread tag the run
+    ends with ``outcome="stalled"``.
     """
     from repro.core.oneshot import get_solver  # deferred: core imports shard
 
-    rpos, interference, interrogation, tpos = deployment.materialize()
-    partition = ShardPartition.from_arrays(
-        rpos, interference, interrogation, tpos, spec
-    )
+    arrays = deployment.materialize()
+    partition = ShardPartition.from_arrays(*arrays, spec)
     if partition.is_trivial:
         raise ValueError(
             "deployment collapses to a single cell; use "
             "greedy_covering_schedule (optionally with shard=) instead"
         )
+    fault_layer = None
+    if faults is not None or policy is not None:
+        fault_layer = SlotFaults(
+            faults, policy, deployment.num_readers, len(arrays[3])
+        )
     runtime = ShardRuntime(partition, incremental=True)
+    uncoverable = int((partition.owner_of_tag < 0).sum())  # before refreshes
     solver_fn = get_solver(solver)
-    takes_context = "context" in inspect.signature(solver_fn).parameters
-    rng = as_rng(seed)
-    rec = get_recorder()
-
-    m = len(tpos)
-    if policy is not None and faults is None:
-        faults = FaultPlan()
-    monitor: Optional[HeartbeatMonitor] = None
-    fault_policy = policy if policy is not None else FaultPolicy()
-    if faults is not None:
-        injector = FaultInjector(faults, deployment.num_readers, m)
-        monitor = HeartbeatMonitor(injector, fault_policy.heartbeat_timeout)
-    stall_limit = max_stall_slots
-    if stall_limit is None and monitor is not None:
-        stall_limit = fault_policy.max_stall_slots
-    coverable = partition.owner_of_tag >= 0
-    unread = coverable.copy()
-    counts = np.zeros(m, dtype=np.int32)
-    owner = np.zeros(m, dtype=np.int64)
-    tag_grid = SpatialHashGrid(
-        tpos, cell_size=max(float(interrogation.max()), 1.0)
-    )
-    cap = (
-        max_slots if max_slots is not None else 4 * deployment.num_readers + 64
-    )
-
-    slots: List[ScaleSlotRecord] = []
-    total_read = 0
-    stall_run = 0
-    stalled = False
+    world = _ArrayWorld(runtime, solver_fn, arrays)
     # one persistent worker pool for the whole schedule (serial at one
     # worker; see ShardRuntime.pool_scope)
-    with runtime.pool_scope(solver_fn, takes_context, rec):
-        while runtime.num_unread > 0 and len(slots) < cap:
-            slot = len(slots)
-            if rec.enabled:
-                rec.emit(SlotStart(slot=slot, unread_tags=runtime.num_unread))
-            suspected = None
-            if monitor is not None:
-                failed, newly = monitor.begin_slot(slot)
-                if rec.enabled:
-                    for r in newly:
-                        rec.emit(
-                            ReaderFailed(
-                                slot=slot,
-                                reader=int(r),
-                                missed_heartbeats=int(
-                                    monitor.consecutive_misses[r]
-                                ),
-                            )
-                        )
-                if fault_policy.partition_refresh:
-                    dead = monitor.confirmed_permanent(
-                        slot, exclude=runtime.retired_readers
-                    )
-                    if len(dead):
-                        with span(
-                            "shard.refresh", slot=slot, readers=int(len(dead))
-                        ):
-                            runtime.refresh(dead)
-                        if runtime.num_unread == 0:
-                            # the refresh orphaned every remaining tag:
-                            # no live reader covers them, so no further
-                            # progress is possible
-                            stalled = True
-                            break
-                suspected = monitor.suspected
-            active, meta = runtime.solve_slot(
-                slot, solver_fn, rng, rec,
-                takes_context=takes_context, suspected=suspected,
-            )
-            if monitor is not None and len(active):
-                # readers whose activation failed this slot drop out
-                active = active[~monitor.failed[active]]
-            well, rrc, rtc = _slot_verification(
-                active, rpos, interference, interrogation,
-                tag_grid, unread, counts, owner,
-            )
-            if len(well) == 0:
-                fallback = runtime.best_singleton(suspected=suspected)
-                if fallback is None:
-                    if monitor is None:  # pragma: no cover - unreachable
-                        break
-                    # every candidate suspected: a zero-progress slot,
-                    # bounded by the stall guard below
-                    active = np.empty(0, dtype=np.int64)
-                else:
-                    active = np.asarray([fallback], dtype=np.int64)
-                    if monitor is not None:
-                        active = active[~monitor.failed[active]]
-                    well, rrc, rtc = _slot_verification(
-                        active, rpos, interference, interrogation,
-                        tag_grid, unread, counts, owner,
-                    )
-            if monitor is not None and len(well):
-                missed = monitor.injector.missed_tags(slot, well)
-                if len(missed):
-                    if rec.enabled:
-                        rec.emit(
-                            ReadMissed(
-                                slot=slot, tags_missed=int(len(missed))
-                            )
-                        )
-                    well = well[~np.isin(well, missed)]
-            if rec.enabled:
-                rec.emit(
-                    CollisionTally(slot=slot, rrc_blocked=rrc, rtc_silenced=rtc)
-                )
-            runtime.retire(well)
-            unread[well] = False
-            total_read += int(len(well))
-            if rec.enabled:
-                rec.emit(
-                    SlotEnd(
-                        slot=slot,
-                        tags_read=int(len(well)),
-                        weight=int(len(well)),
-                        active_readers=int(len(active)),
-                    )
-                )
-            slots.append(
-                ScaleSlotRecord(
-                    slot=slot,
-                    active_readers=int(len(active)),
-                    tags_read=int(len(well)),
-                    cells_solved=int(meta.get("cells_solved", 0)),
-                    boundary_repairs=int(meta.get("boundary_repairs", 0)),
-                )
-            )
-            if stall_limit is not None:
-                stall_run = stall_run + 1 if len(well) == 0 else 0
-                if stall_run >= stall_limit:
-                    stalled = True
-                    break
-    complete = not bool(unread.any())
-    if stalled:
-        outcome = "stalled"
-    elif complete:
-        outcome = "complete"
-    elif len(slots) >= cap:
-        outcome = "exhausted"
-    else:
-        # the per-cell work drained but orphaned tags (owners permanently
-        # crashed before a refresh could re-home them) remain unread —
-        # progress is impossible under this fault regime
-        outcome = "stalled"
-    if rec.enabled:
-        rec.emit(
-            ScheduleDone(
-                slots=len(slots), tags_read=total_read, complete=complete
-            )
+    with runtime.pool_scope(solver_fn, accepts_context(solver_fn), world.rec):
+        slots, total_read, complete, outcome = run_slots(
+            world, as_rng(seed), max_slots, fault_layer, max_stall_slots
         )
     return ScaleScheduleResult(
         slots=slots,
         tags_read_total=total_read,
         complete=complete,
         num_cells=partition.num_cells,
-        uncoverable_tags=int((~coverable).sum()),
+        uncoverable_tags=uncoverable,
         outcome=outcome,
     )

@@ -64,8 +64,8 @@ class ShardSpec:
         Target number of spatial cells.  ``0`` (the default) auto-sizes the
         grid at the finest safe granularity — cell side equal to the
         interaction radius.  ``1`` requests the trivial partition, which
-        short-circuits to a direct full-system solve (bit-identical to the
-        unsharded driver; certified by ``tests/test_shard.py``).  Values
+        the drivers run unsharded (bit-identical to the unsharded driver;
+        certified by ``tests/test_shard.py``).  Values
         above 1 are a *target*: the actual side is clamped to at least the
         interaction radius (scaled by ``halo_scale``), so the realised cell
         count never exceeds what the one-ring halo contract allows.

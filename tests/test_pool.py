@@ -19,7 +19,8 @@ The pool's contract has four load-bearing clauses, each pinned here:
 
 Plus the ``REPRO_WORKERS`` environment default honoured by every
 ``--workers`` CLI flag (precedence CLI > env > serial), and the guard that
-the pool is the only module starting processes or threads.
+the pool is the only module starting processes or threads (and its
+sibling: the slot loop is the only module opening and closing slots).
 """
 
 import ast
@@ -483,6 +484,26 @@ def test_only_the_pool_starts_processes_or_threads():
             if any(n.split(".")[0] in banned for n in names):
                 offenders.append(str(path.relative_to(src)))
     assert sorted(set(offenders)) == ["repro/perf/pool.py"]
+
+
+def test_only_the_slot_loop_opens_and_closes_slots():
+    """One slot loop: exactly one module under src/ constructs the
+    ``SlotStart``/``SlotEnd``/``ScheduleDone`` driver events."""
+    src = Path(pool_module.__file__).resolve().parents[2]
+    lifecycle = {"SlotStart", "SlotEnd", "ScheduleDone"}
+    builders = {name: set() for name in lifecycle}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None
+            )
+            if name in lifecycle:
+                builders[name].add(str(path.relative_to(src)))
+    assert builders == {name: {"repro/core/slotloop.py"} for name in lifecycle}
 
 
 class TestReproWorkersEnv:

@@ -20,6 +20,8 @@ from repro.faults import FaultPlan, FaultPolicy, PermanentCrash
 from repro.model.system import build_system
 from repro.perf import pool as pool_module
 from repro.perf.pool import in_pool_worker
+from repro.obs import RunCollector, recording
+from repro.obs.events import SlotEnd, SlotStart, TraceRecorder
 from repro.obs.export import REQUIRED_METRICS, load_bench, validate_run
 from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 from repro.shard.bench import (
@@ -80,21 +82,43 @@ class TestScaleDriver:
         for a, b in zip(arrays, again):
             assert np.array_equal(a, b)
 
-    def test_matches_sharded_mcs_slot_for_slot(self, arrays, scale_result):
-        """Same partition, same seed, same solver -> the sparse driver and
-        the dense sharded MCS driver walk the same schedule."""
-        system = build_system(*arrays)
-        dense = greedy_covering_schedule(
-            system, get_solver("ghc"), seed=17, incremental=True,
-            shard=ShardSpec(cells=0),
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            None,
+            FaultPlan.uniform_flaky(
+                SMALL.num_readers, 0.1, miss_rate=0.1, seed=3
+            ),
+            # a partition refresh at slot 1 (readers 3/17/40 crash for good)
+            FaultPlan(
+                reader_faults=tuple(
+                    PermanentCrash(r, 1) for r in (3, 17, 40)
+                ),
+                miss_rate=0.1,
+                seed=5,
+            ),
+        ],
+        ids=["fault-free", "flaky", "crash"],
+    )
+    def test_matches_sharded_mcs_slot_for_slot(self, arrays, plan):
+        """Same partition, same seed, same solver, same fault world -> the
+        sparse driver and the dense sharded MCS driver walk the same
+        schedule: both run one slot loop behind one fault wrapper."""
+        sparse = run_scale_schedule(
+            SMALL, ShardSpec(cells=0), seed=17, faults=plan
         )
-        assert scale_result.size == dense.size
-        assert scale_result.complete == dense.complete
-        assert scale_result.tags_read_total == dense.tags_read_total
-        assert scale_result.uncoverable_tags == len(dense.uncovered_tags)
-        for sparse_slot, dense_slot in zip(scale_result.slots, dense.slots):
-            assert sparse_slot.active_readers == len(dense_slot.active)
-            assert sparse_slot.tags_read == len(dense_slot.tags_read)
+        dense = greedy_covering_schedule(
+            build_system(*arrays), get_solver("ghc"), seed=17,
+            incremental=True, shard=ShardSpec(cells=0), faults=plan,
+        )
+        assert sparse.size == dense.size
+        assert sparse.complete == dense.complete
+        assert sparse.outcome == dense.outcome.value
+        assert sparse.tags_read_total == dense.tags_read_total
+        assert sparse.uncoverable_tags == len(dense.uncovered_tags)
+        assert [(s.active_readers, s.tags_read) for s in sparse.slots] == [
+            (len(s.active), len(s.tags_read)) for s in dense.slots
+        ]
 
     def test_matches_unsharded_coverage(self, arrays, scale_result):
         system = build_system(*arrays)
@@ -181,6 +205,37 @@ class TestScaleFaults:
         assert result.outcome == "stalled"
         assert result.size == 6
         assert result.tags_read_total == 0
+
+
+class TestScaleTelemetry:
+    """The shared slot loop's telemetry reaches the array driver."""
+
+    DEPLOY = TestScaleFaults.DEPLOY
+
+    def test_stage_decomposition_recorded(self):
+        collector = RunCollector()
+        with recording(collector):
+            run_scale_schedule(self.DEPLOY, ShardSpec(cells=16), seed=11)
+        stages = collector.summary()["stage_seconds_by_name"]
+        assert {"solve", "retire"} <= set(stages)
+
+    def test_drained_partition_leaves_no_open_slot(self):
+        # every reader dies at slot 0: the slot-1 refresh orphans every
+        # remaining tag, and that slot must never start
+        plan = FaultPlan(
+            reader_faults=tuple(
+                PermanentCrash(r, 0) for r in range(self.DEPLOY.num_readers)
+            )
+        )
+        tracer = TraceRecorder()
+        with recording(tracer):
+            result = run_scale_schedule(
+                self.DEPLOY, ShardSpec(cells=16), seed=11, faults=plan
+            )
+        starts = [e.slot for e in tracer.events if isinstance(e, SlotStart)]
+        ends = [e.slot for e in tracer.events if isinstance(e, SlotEnd)]
+        assert starts == ends == list(range(result.size))
+        assert result.outcome == "stalled"
 
 
 #: Marker path for the crash-mid-bench injection below.  Module-level so

@@ -532,12 +532,3 @@ class TestRuntime:
         # ties break to the lowest global id
         assert best == int(np.argmax(counts == counts.max()))
 
-    def test_trivial_runtime_guards(self, medium_system):
-        runtime = ShardRuntime(
-            ShardPartition.from_system(medium_system, ShardSpec(cells=1))
-        )
-        with pytest.raises(RuntimeError):
-            runtime.num_unread
-        with pytest.raises(RuntimeError):
-            runtime.live_cells()
-        runtime.retire(np.array([0, 1]))  # no-op, must not raise
